@@ -605,13 +605,10 @@ func BenchmarkScheduleCache(b *testing.B) {
 	})
 }
 
-// BenchmarkRunReuse measures the per-Run overhead the persistent worker pool
-// eliminates for iterative drivers: repeated runs of a small loop on one
-// reused runtime, pooled (workers started once, one fused phase submission
-// per Run) vs. spawn-per-call (the pre-pool behaviour of spawning fresh
-// goroutines for every inspector, executor and postprocessor phase of every
-// Run). BiCGSTAB in internal/krylov calls Run twice per solver iteration, so
-// this difference is paid thousands of times per solve.
+// BenchmarkRunReuse measures the per-Run cost of repeated runs of a small
+// loop on one reused runtime: workers started once, one fused phase
+// submission per Run. BiCGSTAB in internal/krylov calls Run twice per solver
+// iteration, so this cost is paid thousands of times per solve.
 func BenchmarkRunReuse(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{1000, 10000} {
@@ -619,31 +616,21 @@ func BenchmarkRunReuse(b *testing.B) {
 		loop := tc.Loop()
 		base := tc.InitialData()
 		for _, p := range []int{2, 4, 8} {
-			for _, mode := range []struct {
-				name  string
-				spawn bool
-			}{{"pooled", false}, {"spawn", true}} {
-				b.Run(fmt.Sprintf("N=%d/P=%d/%s", n, p, mode.name), func(b *testing.B) {
-					opts := []doacross.Option{
-						doacross.WithWorkers(p),
-						doacross.WithPolicy(doacross.Block),
-						doacross.WithWaitStrategy(doacross.WaitSpinYield),
+			b.Run(fmt.Sprintf("N=%d/P=%d/pooled", n, p), func(b *testing.B) {
+				rt := newRuntime(b, loop.Data,
+					doacross.WithWorkers(p),
+					doacross.WithPolicy(doacross.Block),
+					doacross.WithWaitStrategy(doacross.WaitSpinYield))
+				defer rt.Close()
+				y := append([]float64(nil), base...)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(y, base)
+					if _, err := rt.Run(ctx, loop, y); err != nil {
+						b.Fatal(err)
 					}
-					if mode.spawn {
-						opts = append(opts, doacross.WithSpawnPerCall())
-					}
-					rt := newRuntime(b, loop.Data, opts...)
-					defer rt.Close()
-					y := append([]float64(nil), base...)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						copy(y, base)
-						if _, err := rt.Run(ctx, loop, y); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

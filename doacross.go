@@ -373,14 +373,6 @@ func WithAccessCheck(on bool) Option {
 	return func(c *config) { c.opts.AccessCheck = on }
 }
 
-// WithSpawnPerCall replaces the persistent worker pool with the pre-pool
-// behaviour of spawning fresh goroutines for every phase of every run. It
-// exists as the measurement baseline for the pooled path (see
-// BenchmarkRunReuse); leave it off in real use.
-func WithSpawnPerCall() Option {
-	return func(c *config) { c.opts.SpawnPerCall = true }
-}
-
 // buildOptions folds a list of options into the internal runtime options,
 // reporting the first invalid option. Cross-option conflicts are checked
 // after folding, so they are caught whatever order the options appear in.
@@ -471,11 +463,11 @@ func (r *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 	return r.rt.RunDoall(l, y)
 }
 
-// Inspect runs only the inspector phase (the execution-time preprocessing)
-// and returns the inspection statistics: the wavefront decomposition's level
-// count, widths and critical path when the loop declares Reads (computed
-// through — and cached in — the same schedule cache the Wavefront executor
-// uses), or just the iteration count when it does not. The error is non-nil
+// Inspect runs only the wavefront inspection and returns its statistics: the
+// decomposition's level count, widths and critical path when the loop
+// declares Reads (computed through — and cached in — the same schedule cache
+// the Wavefront executor uses), or just the iteration count when it does
+// not. The error is non-nil
 // when a Writes/Reads closure panicked during the decomposition. It exists
 // for overhead measurements and executor-selection diagnostics; Run inspects
 // automatically.

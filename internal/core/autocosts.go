@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"doacross/internal/flags"
-	"doacross/internal/machine"
 	"doacross/internal/sched"
 	"doacross/internal/tune"
 )
@@ -165,33 +164,6 @@ func autoChoose(st InspectStats, workers, nrhs int, costs AutoCosts) ExecutorKin
 // PredictN estimates without building a runtime.
 func (c AutoCosts) Choose(st InspectStats, workers, nrhs int) ExecutorKind {
 	return autoChoose(st, workers, nrhs, c)
-}
-
-// PredictRepair prices the two ways of absorbing an in-place access-pattern
-// edit: incrementally repairing the cached plan (a dirty cone of the given
-// size plus a suffix rescatter, bounded by the iteration count) versus a cold
-// re-inspection of the whole loop. Both estimates are in the coefficients'
-// time unit, scaled by FlagCheckNs — the generic table-operation cost, the
-// closest probe-measured proxy for the inspector's per-element work (1 when
-// no coefficient is available). The structural ratios come from
-// machine.DefaultRepairCosts, the same deterministic model the loopstat
-// break-even report prints.
-func (c AutoCosts) PredictRepair(iterations, edges, cone int) (repairNs, coldNs float64) {
-	unit := c.FlagCheckNs
-	if unit <= 0 {
-		unit = 1
-	}
-	rc := machine.DefaultRepairCosts
-	return unit * rc.Repair(cone, iterations), unit * rc.ColdInspect(iterations, edges)
-}
-
-// RepairConeBudget returns the largest dirty cone for which RepairPlans
-// prefers the incremental path over falling back to a full invalidation. The
-// time unit cancels out of the comparison, so the budget depends only on the
-// loop's structure — which also keeps the repair gate deterministic across
-// hosts.
-func (c AutoCosts) RepairConeBudget(iterations, edges int) int {
-	return machine.DefaultRepairCosts.BreakEvenCone(iterations, edges)
 }
 
 // autoCostsFor returns the coefficients the Auto selection uses: the ones

@@ -231,26 +231,6 @@ func TestRuntimeReuseAcrossDifferentSizes(t *testing.T) {
 	}
 }
 
-func TestSpawnPerCallMatchesPooled(t *testing.T) {
-	// The spawn-per-call baseline must produce identical results to the
-	// persistent pool (it exists so BenchmarkRunReuse can compare the two).
-	rng := rand.New(rand.NewSource(29))
-	l, y := randomFigure1(rng, 120)
-	seq := append([]float64(nil), y...)
-	mustRunSequential(t, l, seq)
-	for _, spawn := range []bool{false, true} {
-		par := append([]float64(nil), y...)
-		rt := NewRuntime(l.Data, Options{Workers: 4, WaitStrategy: flags.WaitSpinYield, SpawnPerCall: spawn})
-		if _, err := rt.Run(l, par); err != nil {
-			t.Fatal(err)
-		}
-		rt.Close()
-		if d := sparse.VecMaxDiff(seq, par); d != 0 {
-			t.Fatalf("spawn=%v: mismatch %v", spawn, d)
-		}
-	}
-}
-
 func TestEpochTablesAllWaitStrategies(t *testing.T) {
 	// Every wait strategy must work with the epoch-table ablation; before
 	// EpochFlags.Wait took a strategy, the configured strategy was silently

@@ -118,11 +118,7 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 		if err != nil {
 			return nil, err
 		}
-		if rt.opts.Executor == ExecWavefrontDynamic {
-			return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		}
-		plan.staticSchedule(rt.opts.Policy)
-		return wavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
+		return rt.wavefront(rt.opts.Executor, plan, cached), nil
 	case ExecAuto:
 		if l.Reads == nil || rt.opts.Order != nil {
 			return doacrossExecutor{rt}, nil
@@ -159,15 +155,10 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 			}
 			pick = autoChoose(plan.stats, rt.opts.Workers, nrhs, costs)
 		}
-		switch pick {
-		case ExecWavefrontDynamic:
-			return dynamicWavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		case ExecWavefront:
-			plan.staticSchedule(rt.opts.Policy)
-			return wavefrontExecutor{rt: rt, plan: plan, cached: cached}, nil
-		default:
+		if pick == ExecDoacross {
 			return doacrossExecutor{rt}, nil
 		}
+		return rt.wavefront(pick, plan, cached), nil
 	default:
 		return nil, fmt.Errorf("core: unknown executor kind %d", int(rt.opts.Executor))
 	}
@@ -233,8 +224,8 @@ func (s InspectStats) String() string {
 		s.Iterations, s.Edges, s.Levels, s.MaxLevelWidth, s.MeanLevelWidth, s.CacheHit)
 }
 
-// wavefrontPlan is everything the two wavefront executors need to run one
-// loop shape: the dense writer index (the execution-time dependency
+// wavefrontPlan is everything the wavefront executor needs to run one loop
+// shape: the dense writer index (the execution-time dependency
 // classifier), the plan's own copy of the wavefront decomposition, and the
 // inspection statistics. The decomposition and stats are immutable once
 // built; the static schedule is materialized lazily (see staticSchedule),
@@ -249,17 +240,16 @@ type wavefrontPlan struct {
 	graph *depgraph.Graph
 	// levels is the plan's owned copy of the wavefront decomposition in CSR
 	// form (the inspector's scratch LevelSet is reused across builds, so the
-	// plan cannot alias it). The dynamic executor claims chunks straight out
-	// of its per-level member lists; the static schedule below is derived
+	// plan cannot alias it). Dynamic within-level claiming reads its
+	// per-level member lists directly; the static schedule below is derived
 	// from it on first static use. RepairPlans patches it in place.
 	levels depgraph.LevelSet
 	// workers is the schedule worker count: the runtime's workers clamped to
 	// the widest level (extra workers would only spin at the barriers).
 	workers int
 	// static is the level-sorted static schedule, built by staticSchedule on
-	// the first static-wavefront run. A runtime that only ever runs the
-	// dynamic executor never materializes it — the dynamic run consumes the
-	// cached LevelSet directly.
+	// the first static-wavefront run. A runtime that only ever claims
+	// dynamically never materializes it.
 	static *sched.LevelSchedule
 	// staticFrom, when >= 0, marks the materialized static schedule stale
 	// from that level on: a repair moved members at or above it, and the next
@@ -572,12 +562,7 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	if k < 1 {
 		k = 1
 	}
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-
-	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, tab, ready, traceBase)
+	body := rt.execBody(l, y, tab, ready)
 
 	dynamic := rt.opts.Policy == sched.Dynamic
 	chunk := rt.opts.Chunk
@@ -643,7 +628,6 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 		rt.eIter.Advance()
 		rt.eReady.Advance()
 	}
-	rt.inspectDirty = false
 	total := time.Since(start)
 
 	rep.PreTime = preEnd
@@ -655,11 +639,21 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 // wavefrontExecutor is the pre-scheduled level-set execution the paper
 // compares the doacross against: the (cached) inspection decomposes the loop
 // into wavefronts, and one fused pool submission runs each level as a doall
-// over its static schedule with a barrier between levels, then the
-// postprocessing copy-back. No per-element flags exist and no read ever
-// waits; the renaming through ynew still satisfies anti-dependencies, and
-// because the plan's writer index doubles as the dependency classifier, a
-// warm run touches no scratch tables at all (nothing to reset).
+// with a barrier between levels, then the postprocessing copy-back. No
+// per-element flags exist and no read ever waits; the renaming through ynew
+// still satisfies anti-dependencies, and because the plan's writer index
+// doubles as the dependency classifier, a warm run touches no scratch tables
+// at all (nothing to reset).
+//
+// Within a level, members are handed out one of two ways. With a static
+// schedule (ExecWavefront) each worker runs the items the plan's
+// level-sorted LevelSchedule dealt it. Without one (ExecWavefrontDynamic)
+// workers claim chunks of the level's member list through a shared counter —
+// the sched.DynamicLoop protocol restricted to one level, at the
+// sched.LevelChunk clamp InspectStats.DynamicClaims prices — trading one
+// contended atomic per chunk for within-level load balance: a level whose
+// members have heavy-tailed costs no longer serializes behind whichever
+// worker the static schedule dealt the hot member to.
 //
 // The plan is resolved by executorFor (so its cost — cold build or cache
 // lookup — is the run's reported preprocessing time, and the cached flag
@@ -668,49 +662,81 @@ type wavefrontExecutor struct {
 	rt     *Runtime
 	plan   *wavefrontPlan
 	cached bool
+	// static is the plan's level-sorted schedule; nil selects dynamic
+	// within-level claiming.
+	static *sched.LevelSchedule
 }
 
-func (wavefrontExecutor) name() string { return "wavefront" }
+// wavefront builds the wavefront executor for kind, ExecWavefront or
+// ExecWavefrontDynamic. The static schedule is materialized here, while the
+// plan is being resolved, so its cost counts as preprocessing; a dynamic
+// executor never materializes it and consumes the plan's LevelSet directly.
+func (rt *Runtime) wavefront(kind ExecutorKind, plan *wavefrontPlan, cached bool) wavefrontExecutor {
+	e := wavefrontExecutor{rt: rt, plan: plan, cached: cached}
+	if kind == ExecWavefront {
+		e.static = plan.staticSchedule(rt.opts.Policy)
+	}
+	return e
+}
+
+func (e wavefrontExecutor) name() string {
+	if e.static == nil {
+		return ExecWavefrontDynamic.String()
+	}
+	return ExecWavefront.String()
+}
 
 func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 	rt := e.rt
 	plan := e.plan
-	// executorFor materialized the schedule while resolving the plan (so its
-	// cost counts as preprocessing); this lookup is a memo hit.
-	s := plan.staticSchedule(rt.opts.Policy)
+	static := e.static
 	start := time.Now()
 	rep.InspectCached = e.cached
-	rep.Levels = s.Levels()
-	preEnd := time.Duration(0)
+	levels := plan.levels.Count()
+	rep.Levels = levels
 
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
+	body := rt.execBody(l, y, plan.table(), levelReady{})
+
+	chunk := rt.opts.Chunk
+	if chunk < 1 {
+		chunk = sched.DefaultChunk
 	}
-	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, plan.table(), levelReady{}, traceBase)
-
-	k := s.Workers()
-	levels := s.Levels()
+	k := plan.workers
 	ab := &rt.ab
 	bar := phaseBarrier{n: int32(k)}
-	execEnd := preEnd
-	stampExec := func() { execEnd = time.Since(start) }
+	var next atomic.Int64
+	var execEnd time.Duration
 	rt.pool.Submit(k, func(w int) {
+		// The level barrier's last arriver resets the claim counter before
+		// the barrier opens, so every worker observes a zeroed counter when
+		// it starts claiming the next level. The closures are per worker so
+		// they stay on its stack.
+		resetNext := func() { next.Store(0) }
+		stampExec := func() { next.Store(0); execEnd = time.Since(start) }
+		stop := func() bool { return ab.triggered.Load() }
 		for lvl := 0; lvl < levels; lvl++ {
 			// The abort check is per level here and per iteration inside
 			// body; either way every worker still reaches every barrier, so
 			// an aborted run drains without deadlock.
 			if !ab.triggered.Load() {
 				rt.guard("loop body", func() {
-					for _, it := range s.Items(lvl, w) {
-						body(w, int(it))
+					if static != nil {
+						for _, it := range static.Items(lvl, w) {
+							body(w, int(it))
+						}
+						return
 					}
+					members := plan.levels.LevelMembers(lvl)
+					// Every worker derives the same per-level chunk clamp, so
+					// no coordination is needed.
+					c := sched.LevelChunk(chunk, len(members), k)
+					sched.DynamicLoopOver(&next, members, c, w, body, stop)
 				})
 			}
 			if lvl == levels-1 {
 				bar.wait(stampExec)
 			} else {
-				bar.wait(nil)
+				bar.wait(resetNext)
 			}
 		}
 		// Postprocessor shard: only the copy-back — the plan's writer index
@@ -727,138 +753,9 @@ func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 			}
 		})
 	})
-	rt.cleanStandaloneInspect(l)
 	total := time.Since(start)
 
-	rep.PreTime = preEnd
-	rep.ExecTime = execEnd - preEnd
-	rep.PostTime = total - execEnd
-	rep.TotalTime = total
-}
-
-// cleanStandaloneInspect restores the doacross writer table after a
-// wavefront-family run when a standalone Inspect filled it and no doacross
-// postprocess has reset it: the entries the loop recorded are cleaned up so a
-// later doacross run on the same runtime does not classify against stale
-// writers (the ScratchClean invariant). A no-op when nothing is dirty.
-func (rt *Runtime) cleanStandaloneInspect(l *Loop) {
-	if !rt.inspectDirty {
-		return
-	}
-	if rt.opts.UseEpochTables {
-		rt.eIter.Advance()
-	} else {
-		rt.pool.ParallelFor(l.N, func(i int) {
-			for _, e := range l.Writes(i) {
-				rt.iter.Reset(e)
-			}
-		})
-	}
-	rt.inspectDirty = false
-}
-
-// dynamicWavefrontExecutor is the wavefront execution with dynamic
-// within-level assignment: the same cached plan (writer index and level
-// decomposition) as the static wavefrontExecutor, but each level is a
-// self-scheduled doall — workers claim chunks out of the level's member list
-// through the shared claim counter, exactly the sched.DynamicLoop protocol
-// the busy-wait doacross uses under the Dynamic policy, restricted to one
-// level at a time. The counter is reset by the last arriver at each level
-// barrier, so the reset is ordered before any worker starts claiming the
-// next level.
-//
-// Compared to the static wavefront it trades one contended atomic per chunk
-// claim for within-level load balance: a level whose members have
-// heavy-tailed costs (one hot row per wavefront) no longer serializes behind
-// whichever worker the static schedule dealt the hot member to. It never
-// materializes a LevelSchedule — the plan's cached LevelSet is consumed
-// directly, so a runtime that only runs dynamically skips NewLevelSchedule
-// altogether.
-type dynamicWavefrontExecutor struct {
-	rt     *Runtime
-	plan   *wavefrontPlan
-	cached bool
-}
-
-func (dynamicWavefrontExecutor) name() string { return "wavefront-dynamic" }
-
-func (e dynamicWavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
-	rt := e.rt
-	plan := e.plan
-	start := time.Now()
-	rep.InspectCached = e.cached
-	levels := plan.levels.Count()
-	rep.Levels = levels
-	preEnd := time.Duration(0)
-
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-	traceBase := rt.armTrace(l)
-	body := rt.execBody(l, y, plan.table(), levelReady{}, traceBase)
-
-	chunk := rt.opts.Chunk
-	if chunk < 1 {
-		chunk = sched.DefaultChunk
-	}
-	// Under online tuning, chunk claims are rounded down to whole cache
-	// lines: the tuner's measured feedback prices real memory behaviour, and
-	// line-aligned claims keep neighbouring workers off shared lines. The
-	// untuned executor keeps the exact LevelChunk clamp its committed
-	// baselines were measured with (align 1 is the identity).
-	align := 1
-	if rt.tuningActive() {
-		align = sched.CacheLineElems
-	}
-	k := plan.workers
-	ab := &rt.ab
-	stop := func() bool { return ab.triggered.Load() }
-	bar := phaseBarrier{n: int32(k)}
-	var next atomic.Int64
-	execEnd := preEnd
-	// The level barrier's last arriver resets the claim counter before the
-	// barrier opens, so every worker observes a zeroed counter when it starts
-	// claiming the next level.
-	resetNext := func() { next.Store(0) }
-	stampExec := func() { next.Store(0); execEnd = time.Since(start) }
-	rt.pool.Submit(k, func(w int) {
-		for lvl := 0; lvl < levels; lvl++ {
-			if !ab.triggered.Load() {
-				members := plan.levels.LevelMembers(lvl)
-				// Every worker derives the same per-level chunk clamp, so no
-				// coordination is needed (see sched.LevelChunk).
-				c := sched.LevelChunkAligned(chunk, len(members), k, align)
-				rt.guard("loop body", func() {
-					sched.DynamicLoopOver(&next, members, c, w, body, stop)
-				})
-			}
-			// Every worker reaches every barrier even when aborted, so a
-			// failed run drains without deadlock, as in the static executor.
-			if lvl == levels-1 {
-				bar.wait(stampExec)
-			} else {
-				bar.wait(resetNext)
-			}
-		}
-		if ab.triggered.Load() {
-			return
-		}
-		// Postprocessor shard: only the copy-back, as in the static
-		// wavefront — nothing was recorded, so nothing is reset.
-		lo, hi := sched.BlockRange(l.N, k, w)
-		rt.guard("loop Writes (postprocessor)", func() {
-			for i := lo; i < hi; i++ {
-				for _, e := range l.Writes(i) {
-					y[e] = rt.ynew[e]
-				}
-			}
-		})
-	})
-	rt.cleanStandaloneInspect(l)
-	total := time.Since(start)
-
-	rep.PreTime = preEnd
-	rep.ExecTime = execEnd - preEnd
+	rep.ExecTime = execEnd
 	rep.PostTime = total - execEnd
 	rep.TotalTime = total
 }

@@ -825,10 +825,9 @@ func TestAutoColdRunReportsColdInspect(t *testing.T) {
 }
 
 // TestWavefrontRunCleansStandaloneInspect pins the reuse invariant across
-// executors: a standalone Inspect fills the doacross writer table, and a
-// wavefront run (which otherwise touches no scratch) must clean those
-// entries up so a later doacross-executor run on the same runtime does not
-// classify reads against stale writers.
+// executors: a standalone Inspect and a wavefront run leave the doacross
+// writer table clean, so a later doacross-executor run on the same runtime
+// does not classify reads against stale writers.
 func TestWavefrontRunCleansStandaloneInspect(t *testing.T) {
 	n := 200
 	l := &Loop{

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"doacross/internal/depgraph"
+	"doacross/internal/machine"
 	"doacross/internal/sched"
 )
 
@@ -63,8 +64,8 @@ type RepairReport struct {
 // with a nil error — when no repairable plan is cached for l (the plan must
 // be the one the loop's own previous runs built: repaired plans are tracked
 // through the pointer-identity memo), or when the dirty cone exceeds the
-// cost-model budget (AutoCosts.RepairConeBudget), in which case a cold
-// re-inspect is predicted cheaper anyway. Either way the cache is left
+// break-even budget (machine.DefaultRepairCosts.BreakEvenCone), in which case
+// a cold re-inspect is predicted cheaper anyway. Either way the cache is left
 // consistent with the edited pattern; callers never need to pair RepairPlans
 // with InvalidatePlans.
 //
@@ -184,11 +185,7 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 		stallDelta += stallContribution(i, g.Preds[i], workers)
 	}
 
-	costs := rt.autoCosts
-	if !costs.valid() {
-		costs = rt.opts.AutoCosts
-	}
-	budget := costs.RepairConeBudget(plan.n, g.Edges)
+	budget := machine.DefaultRepairCosts.BreakEvenCone(plan.n, g.Edges)
 	dirty32 := make([]int32, len(dirty))
 	for k, i := range dirty {
 		dirty32[k] = int32(i)

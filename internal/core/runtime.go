@@ -59,11 +59,6 @@ type Options struct {
 	// adds two clock readings per iteration, so leave it off for
 	// performance-sensitive runs.
 	CollectTrace bool
-	// SpawnPerCall replaces the persistent worker pool with the pre-pool
-	// behaviour of spawning fresh goroutines for every phase of every Run.
-	// It exists as the measurement baseline for the pooled path (see
-	// BenchmarkRunReuse); leave it off in real use.
-	SpawnPerCall bool
 	// Metrics, when non-nil, receives the runtime's observability events:
 	// completed runs with their executor and wall time, plan-cache
 	// transitions, and access-check aborts. See MetricsSink for the exact
@@ -159,9 +154,10 @@ func (r Report) String() string {
 // Section 2.1 of the paper, one Runtime is shared by successive doacross
 // loops over data arrays of the same length, and its postprocessing phase
 // restores the scratch state so the next loop can start immediately.
-// RunContext, Inspect and InvalidatePlans may be called from multiple
-// goroutines: they serialize on an internal mutex (one run executes at a
-// time). The phase-level APIs (Execute, Postprocess) remain single-caller.
+// RunContext, RunMulti, Inspect, InvalidatePlans and RepairPlans may be
+// called from multiple goroutines: they serialize on an internal mutex (one
+// run executes at a time). The ablation variants (RunLinear, RunOracle,
+// RunDoall) remain single-caller.
 type Runtime struct {
 	opts Options
 	pool *sched.Pool
@@ -191,11 +187,10 @@ type Runtime struct {
 	// Options.CollectTrace is set.
 	lastTrace *Trace
 
-	// runMu serializes the stateful entry points (RunContext, Inspect,
-	// InvalidatePlans): the scratch tables, counters and schedule cache
-	// belong to one run at a time, so concurrent callers queue up rather
-	// than race. It is not held by the phase-level APIs (Execute,
-	// Postprocess), which remain single-caller.
+	// runMu serializes the stateful entry points (RunContext, RunMulti,
+	// Inspect, InvalidatePlans, RepairPlans and the snapshots): the scratch
+	// tables, counters and schedule cache belong to one run at a time, so
+	// concurrent callers queue up rather than race.
 	runMu sync.Mutex
 
 	// Schedule cache of the wavefront executor: planMemoLoop/planMemo is the
@@ -226,13 +221,6 @@ type Runtime struct {
 	// post-run feedback. Both are guarded by runMu.
 	tuner   *tuner
 	tuneObs pendingObservation
-
-	// inspectDirty records that inspectTables filled the writer table and no
-	// doacross postprocess has reset it yet. A doacross-executor run always
-	// restores the table itself; a wavefront run normally touches no scratch
-	// at all, so it consults this flag to clean up after a standalone
-	// Inspect and keep the reuse invariant (ScratchClean) intact.
-	inspectDirty bool
 
 	// ab is the per-run abort state, reused across runs so the hot path
 	// allocates nothing for it. It is armed at the start of every run and
@@ -306,13 +294,9 @@ func NewRuntime(dataLen int, opts Options) *Runtime {
 		// the pool would never fill.
 		opts.Workers = sched.MaxWorkers
 	}
-	pool := sched.NewPool(opts.Workers)
-	if opts.SpawnPerCall {
-		pool = sched.NewSpawnPool(opts.Workers)
-	}
 	rt := &Runtime{
 		opts:     opts,
-		pool:     pool,
+		pool:     sched.NewPool(opts.Workers),
 		dataLen:  dataLen,
 		ynew:     make([]float64, dataLen),
 		counters: make([]execCounters, opts.Workers),
@@ -556,15 +540,6 @@ func (rt *Runtime) RunContext(ctx context.Context, l *Loop, y []float64) (Report
 		rep.Order = "natural"
 	}
 
-	if rt.opts.SpawnPerCall {
-		// The measurement baseline reproduces the pre-pool behaviour
-		// faithfully: three separate phase dispatches of the flag-based
-		// doacross, each spawning its own goroutines. It honors body failures
-		// but checks ctx only between phases, not mid-phase; the fused path
-		// is the supported one.
-		return rt.runPhased(ctx, l, y, rep)
-	}
-
 	// Resolve the execution strategy. For ExecWavefront/ExecAuto this is
 	// where the inspection (or its cache hit) happens, so its cost is folded
 	// into the report's preprocessing time below. Like the doacross's own
@@ -621,18 +596,17 @@ func (r *Report) setCounters(c execCounters) {
 	r.WaitPolls = c.waitPolls
 }
 
-// Inspect is the execution-time preprocessing phase (the inspector): it runs
-// a fully parallel loop that records, for every element written by the loop,
-// the iteration that writes it (Figure 3, left, in the paper), and — when the
-// loop declares Reads — derives the wavefront decomposition through the same
-// schedule cache the wavefront executor uses, returning the inspection
-// statistics the Auto executor selection consults. Loops without Reads return
-// stats with only Iterations set (no graph can be built). The error is
-// non-nil when a Writes/Reads closure panicked during the decomposition.
+// Inspect runs the wavefront inspection on its own: when the loop declares
+// Reads it derives the wavefront decomposition through the same schedule
+// cache the wavefront executor uses and returns the inspection statistics
+// the Auto executor selection consults. Loops without Reads return stats
+// with only Iterations set (no graph can be built). The error is non-nil
+// when a Writes/Reads closure panicked during the decomposition. The
+// doacross writer table is filled by each doacross run's own inspector
+// shard, so Inspect leaves the scratch state untouched.
 func (rt *Runtime) Inspect(l *Loop) (InspectStats, error) {
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
-	rt.inspectTables(l)
 	if l.Reads == nil {
 		return InspectStats{Iterations: l.N}, nil
 	}
@@ -645,19 +619,6 @@ func (rt *Runtime) Inspect(l *Loop) (InspectStats, error) {
 	return st, nil
 }
 
-// inspectTables fills the writer table only — the inspector work the
-// flag-based doacross phases consume. It is what the SpawnPerCall baseline
-// runs, so that baseline keeps measuring exactly the paper's three phases.
-func (rt *Runtime) inspectTables(l *Loop) {
-	tab := rt.table()
-	rt.pool.ParallelFor(l.N, func(i int) {
-		for _, e := range l.Writes(i) {
-			tab.Record(e, i)
-		}
-	})
-	rt.inspectDirty = true
-}
-
 // execCounters aggregates the per-iteration dependency counters.
 type execCounters struct {
 	trueDeps   int64
@@ -666,40 +627,11 @@ type execCounters struct {
 	waitPolls  int64
 }
 
-// runPhased executes the three phases as separate pool dispatches, the shape
-// Run had before the fused submission. It is kept as the SpawnPerCall
-// baseline so BenchmarkRunReuse can measure what the persistent pool and the
-// fusion save together. Cancellation is checked between phases only;
-// Postprocess always runs so the scratch state is restored even after a
-// failed executor phase.
-func (rt *Runtime) runPhased(ctx context.Context, l *Loop, y []float64, rep Report) (Report, error) {
-	rep.Executor = "doacross"
-	start := time.Now()
-	rt.inspectTables(l)
-	rep.PreTime = time.Since(start)
-
-	execStart := time.Now()
-	counters, runErr := rt.Execute(l, y)
-	rep.ExecTime = time.Since(execStart)
-	rep.setCounters(counters)
-	if runErr == nil {
-		runErr = ctx.Err()
-	}
-
-	postStart := time.Now()
-	rt.Postprocess(l, y)
-	rep.PostTime = time.Since(postStart)
-	rep.TotalTime = time.Since(start)
-	rt.recordRun(rep.Executor, time.Since(start), runErr)
-	if runErr != nil {
-		return Report{}, runErr
-	}
-	return rep, nil
-}
-
-// execBody builds the per-position executor body shared by the fused Run
-// path and the standalone Execute phase. The returned closure runs one
-// position of the transformed loop: it maps the position through the
+// execBody arms a run — zeroes the per-worker counters and prepares (or
+// clears) the trace — and builds the per-position body every executor and
+// Run variant with a renaming buffer shares (the fused Run executors,
+// RunLinear and RunOracle). The returned closure runs one position of the
+// transformed loop: it maps the position through the
 // execution order, seeds ynew, runs the user body through the worker's
 // reusable Values, marks the written elements ready and accumulates the
 // worker's dependency counters — all through worker-indexed slots, so the
@@ -707,7 +639,11 @@ func (rt *Runtime) runPhased(ctx context.Context, l *Loop, y []float64, rep Repo
 // positions drain without executing their bodies; a failing body aborts the
 // run and leaves its elements unpublished (waiters are released through the
 // cancellable wait instead).
-func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter, traceBase time.Time) func(worker, pos int) {
+func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter) func(worker, pos int) {
+	for i := range rt.counters {
+		rt.counters[i] = execCounters{}
+	}
+	traceBase := rt.armTrace(l)
 	if rt.mc.nc > 0 {
 		// A RunMulti block is armed: every executor transparently runs the
 		// multi-RHS body against the block buffers instead (see multi.go).
@@ -770,67 +706,9 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 	}
 }
 
-// Execute is the executor phase: it runs the transformed loop in parallel.
-// Reads go through Values.Load (which performs the iter check and the busy
-// wait), writes go to the ynew buffer, and each iteration's written elements
-// are marked ready when its body returns. y is only read during this phase.
-// A body failure (BodyErr or Values.Fail) aborts the remaining iterations
-// and is returned; run Postprocess afterwards regardless, so the scratch
-// state is restored.
-//
-// Run fuses this phase with Inspect and Postprocess into one pool
-// submission; Execute remains for callers that drive the phases separately
-// (the overhead ablations).
-func (rt *Runtime) Execute(l *Loop, y []float64) (execCounters, error) {
-	tab := rt.table()
-	ready := rt.waiter()
-	rt.ab.arm(rt.wakeWaiters())
-
-	traceBase := rt.armTrace(l)
-	for i := range rt.counters {
-		rt.counters[i] = execCounters{}
-	}
-	body := rt.execBody(l, y, tab, ready, traceBase)
-
-	if rt.opts.Policy == sched.Dynamic {
-		rt.pool.RunDynamic(l.N, rt.opts.Chunk, body)
-	} else {
-		rt.pool.RunSchedule(rt.schedule(l.N), body)
-	}
-
-	return sumCounters(rt.counters), rt.ab.firstErr()
-}
-
-// Postprocess is the parallel postprocessing phase (Figure 3, right, in the
-// paper): for every element the loop wrote it copies the newly computed
-// value back into y, resets the element's iter entry to MAXINT and its ready
-// flag to NOTDONE. With epoch tables the resets are replaced by a single
-// epoch advance.
-func (rt *Runtime) Postprocess(l *Loop, y []float64) {
-	if rt.opts.UseEpochTables {
-		rt.pool.ParallelFor(l.N, func(i int) {
-			for _, e := range l.Writes(i) {
-				y[e] = rt.ynew[e]
-			}
-		})
-		rt.eIter.Advance()
-		rt.eReady.Advance()
-		rt.inspectDirty = false
-		return
-	}
-	rt.pool.ParallelFor(l.N, func(i int) {
-		for _, e := range l.Writes(i) {
-			y[e] = rt.ynew[e]
-			rt.iter.Reset(e)
-			rt.ready.Clear(e)
-		}
-	})
-	rt.inspectDirty = false
-}
-
 // ScratchClean reports whether the scratch arrays are back in their pristine
 // state (every iter entry MAXINT, every ready flag NOTDONE). It exists so
-// tests can verify the paper's reuse invariant after Postprocess. Epoch-table
+// tests can verify the paper's reuse invariant after a run. Epoch-table
 // runtimes are always clean by construction.
 func (rt *Runtime) ScratchClean() bool {
 	if rt.opts.UseEpochTables {

@@ -20,7 +20,8 @@ type TuningOptions struct {
 	InitialCosts AutoCosts
 	// Alpha is the exponential-moving-average smoothing factor applied to
 	// each executor's observed run times, in (0, 1]. Zero means
-	// tune.DefaultAlpha.
+	// tune.DefaultAlpha. A sample above 1.5x the executor's average is
+	// absorbed as 1.5x, so one descheduled run cannot flip the pick.
 	Alpha float64
 	// Epsilon is the exploration probability: the chance each Auto decision
 	// deliberately runs the least-observed non-best executor instead of the

@@ -161,80 +161,15 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 		Order:       "linear-subscript",
 	}
 	start := time.Now()
-	// No inspector phase at all — that is the point of the variant.
-	tab := linearTable{sub: sub, n: l.N}
-	ready := rt.waiter()
 	ab := &rt.ab
 	ab.arm(rt.wakeWaiters())
-
-	execStart := time.Now()
-	perWorker := make([]execCounters, rt.opts.Workers)
-	vals := make([]Values, rt.opts.Workers)
-	body := func(worker, pos int) {
-		if ab.triggered.Load() {
-			return
-		}
-		i := pos
-		writes := l.Writes(i)
-		// Seed ynew with the old values (Figure 5, statement S2).
-		for _, e := range writes {
-			rt.ynew[e] = y[e]
-		}
-		v := &vals[worker]
-		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
-		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
-		if err := l.run(i, v); err != nil {
-			ab.abort(err)
-			return
-		}
-		if err := v.accessViolation(); err != nil {
-			ab.abort(err)
-			return
-		}
-		for _, e := range writes {
-			ready.Set(e)
-		}
-		c := &perWorker[worker]
-		c.trueDeps += int64(v.truedeps)
-		c.selfDeps += int64(v.selfdeps)
-		c.antiOrNone += int64(v.antiOrNone)
-		c.waitPolls += int64(v.waits)
-	}
-	if rt.opts.Policy == sched.Dynamic {
-		rt.pool.RunDynamic(l.N, rt.opts.Chunk, body)
-	} else {
-		rt.pool.RunSchedule(rt.schedule(l.N), body)
-	}
-	rep.ExecTime = time.Since(execStart)
-	for _, c := range perWorker {
-		rep.TrueDeps += c.trueDeps
-		rep.SelfDeps += c.selfDeps
-		rep.AntiOrNone += c.antiOrNone
-		rep.WaitPolls += c.waitPolls
-	}
+	// No inspector phase at all — that is the point of the variant.
+	rt.runPositions(l.N, rt.execBody(l, y, linearTable{sub: sub, n: l.N}, rt.waiter()))
+	rep.ExecTime = time.Since(start)
+	rep.setCounters(sumCounters(rt.counters))
 
 	postStart := time.Now()
-	aborted := ab.triggered.Load()
-	if rt.opts.UseEpochTables {
-		rt.pool.ParallelFor(l.N, func(i int) {
-			for _, e := range l.Writes(i) {
-				if !aborted {
-					y[e] = rt.ynew[e]
-				}
-			}
-		})
-		rt.eReady.Advance()
-	} else {
-		rt.pool.ParallelFor(l.N, func(i int) {
-			for _, e := range l.Writes(i) {
-				if !aborted {
-					y[e] = rt.ynew[e]
-				}
-				rt.ready.Clear(e)
-			}
-		})
-	}
+	rt.copyBackReady(l, y)
 	rep.PostTime = time.Since(postStart)
 	rep.TotalTime = time.Since(start)
 	if err := ab.firstErr(); err != nil {
@@ -282,11 +217,7 @@ func (rt *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 			ab.abort(err)
 		}
 	}
-	if rt.opts.Policy == sched.Dynamic {
-		rt.pool.RunDynamic(l.N, rt.opts.Chunk, body)
-	} else {
-		rt.pool.RunSchedule(rt.schedule(l.N), body)
-	}
+	rt.runPositions(l.N, body)
 	rep.ExecTime = time.Since(start)
 	rep.TotalTime = rep.ExecTime
 	if err := ab.firstErr(); err != nil {
@@ -340,8 +271,6 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 			writerOf[e] = int64(i)
 		}
 	}
-	tab := oracleTable{writer: writerOf}
-	ready := rt.waiter()
 	ab := &rt.ab
 	wake := rt.wakeWaiters()
 	ab.arm(func() {
@@ -351,75 +280,62 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 		done.WakeAll()
 	})
 
-	perWorker := make([]execCounters, rt.opts.Workers)
-	vals := make([]Values, rt.opts.Workers)
-	body := func(worker, pos int) {
-		if ab.triggered.Load() {
-			return
-		}
-		i := pos
+	iteration := rt.execBody(l, y, oracleTable{writer: writerOf}, rt.waiter())
+	rt.runPositions(l.N, func(worker, i int) {
 		for _, p := range preds[i] {
 			if _, ok := done.WaitCancel(int(p), rt.opts.WaitStrategy, &ab.triggered); !ok {
 				return
 			}
 		}
-		writes := l.Writes(i)
-		// Seed ynew with the old values (Figure 5, statement S2).
-		for _, e := range writes {
-			rt.ynew[e] = y[e]
-		}
-		v := &vals[worker]
-		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
-		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
-		if err := l.run(i, v); err != nil {
-			ab.abort(err)
-			return
-		}
-		if err := v.accessViolation(); err != nil {
-			ab.abort(err)
-			return
-		}
-		for _, e := range writes {
-			ready.Set(e)
-		}
+		// A failed iteration still releases its dependents: execBody skips
+		// every body once the run is aborted.
+		iteration(worker, i)
 		done.Set(i)
-		c := &perWorker[worker]
-		c.trueDeps += int64(v.truedeps)
-		c.waitPolls += int64(v.waits)
-	}
-	if rt.opts.Policy == sched.Dynamic {
-		rt.pool.RunDynamic(l.N, rt.opts.Chunk, body)
-	} else {
-		rt.pool.RunSchedule(rt.schedule(l.N), body)
-	}
-	for _, c := range perWorker {
-		rep.TrueDeps += c.trueDeps
-		rep.WaitPolls += c.waitPolls
-	}
+	})
 	rep.ExecTime = time.Since(start)
+	rep.setCounters(sumCounters(rt.counters))
 
 	postStart := time.Now()
-	aborted := ab.triggered.Load()
-	rt.pool.ParallelFor(l.N, func(i int) {
-		for _, e := range l.Writes(i) {
-			if !aborted {
-				y[e] = rt.ynew[e]
-			}
-			if !rt.opts.UseEpochTables {
-				rt.ready.Clear(e)
-			}
-		}
-	})
-	if rt.opts.UseEpochTables {
-		rt.eReady.Advance()
-	}
+	rt.copyBackReady(l, y)
 	rep.PostTime = time.Since(postStart)
 	rep.TotalTime = time.Since(start)
 	if err := ab.firstErr(); err != nil {
 		return Report{}, err
 	}
 	return rep, nil
+}
+
+// runPositions runs body over positions 0..n-1 on the pool under the
+// runtime's scheduling policy: self-scheduled chunks for Dynamic, the memoized
+// static schedule otherwise.
+func (rt *Runtime) runPositions(n int, body func(worker, pos int)) {
+	if rt.opts.Policy == sched.Dynamic {
+		rt.pool.RunDynamic(n, rt.opts.Chunk, body)
+	} else {
+		rt.pool.RunSchedule(rt.schedule(n), body)
+	}
+}
+
+// copyBackReady is the postprocessing phase of the variants without an
+// inspector: copy the new values back into y (unless the run aborted, when
+// skipped iterations never seeded ynew) and reset the ready flags. No iter
+// table entries were recorded, so none are reset.
+func (rt *Runtime) copyBackReady(l *Loop, y []float64) {
+	aborted := rt.ab.triggered.Load()
+	epoch := rt.opts.UseEpochTables
+	rt.pool.ParallelFor(l.N, func(i int) {
+		for _, e := range l.Writes(i) {
+			if !aborted {
+				y[e] = rt.ynew[e]
+			}
+			if !epoch {
+				rt.ready.Clear(e)
+			}
+		}
+	})
+	if epoch {
+		rt.eReady.Advance()
+	}
 }
 
 // oracleTable classifies reads against a precomputed writer index (no

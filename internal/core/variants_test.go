@@ -209,6 +209,58 @@ func TestOracleMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestLinearAndOracleCollectTrace checks that the inspector-free variants run
+// through the runtime's shared iteration body: on a CollectTrace runtime they
+// still match the sequential loop, and each leaves a trace with one entry per
+// iteration.
+func TestLinearAndOracleCollectTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	n := 150
+	sub := LinearSubscript{C: 2, D: 0}
+	a := make([]int, n)
+	b := make([]int, n)
+	for i := range a {
+		a[i] = sub.C*i + sub.D
+		b[i] = rng.Intn(2 * n)
+	}
+	linear := figure1Loop(a, b, 2*n)
+	oracle, _ := randomFigure1(rng, n)
+	preds := depgraph.Build(depgraph.Access{N: oracle.N, Writes: oracle.Writes, Reads: oracle.Reads}).Preds
+	for _, tc := range []struct {
+		name string
+		l    *Loop
+		run  func(rt *Runtime, y []float64) (Report, error)
+	}{
+		{"linear", linear, func(rt *Runtime, y []float64) (Report, error) { return rt.RunLinear(linear, y, sub) }},
+		{"oracle", oracle, func(rt *Runtime, y []float64) (Report, error) { return rt.RunOracle(oracle, y, preds) }},
+	} {
+		y := make([]float64, tc.l.Data)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		seq := append([]float64(nil), y...)
+		mustRunSequential(t, tc.l, seq)
+		rt := NewRuntime(tc.l.Data, Options{Workers: 3, WaitStrategy: flags.WaitSpinYield, CollectTrace: true})
+		_, err := tc.run(rt, y)
+		rt.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := sparse.VecMaxDiff(seq, y); d != 0 {
+			t.Fatalf("%s: mismatch %v", tc.name, d)
+		}
+		tr := rt.Trace()
+		if tr == nil || len(tr.Iterations) != n {
+			t.Fatalf("%s: trace %v, want %d entries", tc.name, tr, n)
+		}
+		for pos, it := range tr.Iterations {
+			if it.Iteration != pos || it.Position != pos || it.Worker < 0 || it.Worker >= 3 || it.End < it.Start {
+				t.Fatalf("%s: trace entry %d = %+v", tc.name, pos, it)
+			}
+		}
+	}
+}
+
 func TestOracleErrors(t *testing.T) {
 	l := &Loop{N: 3, Data: 3, Writes: func(i int) []int { return []int{i} }, Body: func(i int, v *Values) {}}
 	rt := NewRuntime(3, Options{Workers: 1})

@@ -50,8 +50,7 @@ const (
 const maxDOTNodes = 200
 
 // Main is the whole tool behind a testable seam: flags in, report out,
-// process exit code returned. cmd/doastat (and the deprecated cmd/loopstat
-// alias) call it with os.Args[1:].
+// process exit code returned. cmd/doastat calls it with os.Args[1:].
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("doastat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -66,7 +65,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		tri     = fs.String("tri", "lower", "triangle of the matrix to solve: lower | upper")
 		planArg = fs.String("plan", "", "exported plan document (JSON) for -kind plan")
 		format  = fs.String("format", "text", "output format: text | json | dot")
-		dot     = fs.Bool("dot", false, "deprecated alias for -format dot")
 		workers = fs.Int("workers", 4, "worker count the plan and predictions assume")
 		nrhs    = fs.Int("nrhs", 1, "right-hand-side block width the predictions assume")
 
@@ -77,9 +75,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *dot {
-		*format = "dot"
 	}
 	switch *format {
 	case "text", "json", "dot":

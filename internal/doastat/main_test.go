@@ -81,22 +81,6 @@ func TestGoldenDOT(t *testing.T) {
 	golden(t, "chain8_lower.dot", []string{"-kind", "matrix", "-matrix", "testdata/chain8.mtx", "-format", "dot"})
 }
 
-// TestDeprecatedDotFlag keeps the old loopstat -dot spelling working: it must
-// produce byte-identical output to -format dot.
-func TestDeprecatedDotFlag(t *testing.T) {
-	args := []string{"-kind", "testloop", "-n", "24", "-m", "2", "-l", "4"}
-	var oldForm, newForm, stderr bytes.Buffer
-	if code := Main(append(args[:len(args):len(args)], "-dot"), &oldForm, &stderr); code != 0 {
-		t.Fatalf("-dot run failed: %d, %s", code, stderr.String())
-	}
-	if code := Main(append(args[:len(args):len(args)], "-format", "dot"), &newForm, &stderr); code != 0 {
-		t.Fatalf("-format dot run failed: %d, %s", code, stderr.String())
-	}
-	if !bytes.Equal(oldForm.Bytes(), newForm.Bytes()) {
-		t.Errorf("-dot and -format dot disagree:\n--- -dot ---\n%s--- -format dot ---\n%s", oldForm.Bytes(), newForm.Bytes())
-	}
-}
-
 // TestJSONDeterministic runs the same export twice and demands identical
 // bytes — the property the committed JSON goldens (and any diff-based
 // tooling on top of them) rely on.

@@ -277,8 +277,8 @@ func (d *Doc) levelOf() ([]int32, error) {
 		level[i] = -1
 	}
 	for l := 0; l+1 < len(off); l++ {
-		if off[l+1] < off[l] {
-			return nil, fmt.Errorf("export: level offsets not monotone at level %d", l)
+		if off[l+1] < off[l] || int(off[l+1]) > len(d.Levels.Members) {
+			return nil, fmt.Errorf("export: level offsets not monotone within the member list at level %d", l)
 		}
 		for _, m := range d.Levels.Members[off[l]:off[l+1]] {
 			if m < 0 || int(m) >= d.Iterations {

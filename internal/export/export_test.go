@@ -3,6 +3,9 @@ package export
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"doacross/internal/core"
@@ -270,6 +273,15 @@ func TestDecodeRejects(t *testing.T) {
 			t.Error("duplicated level member accepted")
 		}
 	})
+	t.Run("offset-past-members", func(t *testing.T) {
+		// The last offset spans the member list, but an earlier one points
+		// past it: slicing level 0 before seeing level 1 would panic.
+		raw := `{"schema":1,"iterations":2,"data":0,"writer":[],"preds":[[],[]],` +
+			`"levels":{"members":[0,1],"off":[0,9,2]},"stats":{"iterations":2}}`
+		if _, err := DecodeJSON(strings.NewReader(raw)); err == nil {
+			t.Error("level offset past the member list accepted")
+		}
+	})
 	t.Run("stats-mismatch", func(t *testing.T) {
 		d := base()
 		d.Stats.Iterations++
@@ -340,4 +352,28 @@ func TestDOTDeterministic(t *testing.T) {
 	if decoded.DOT() != first {
 		t.Error("DOT differs after a JSON round trip")
 	}
+}
+
+// FuzzDecodeJSON feeds arbitrary bytes to the plan import: every input must
+// yield an error or a document that rebuilds into a snapshot without
+// panicking. The committed doastat plan exports seed the corpus.
+func FuzzDecodeJSON(f *testing.F) {
+	seeds, err := filepath.Glob("../doastat/testdata/*.json")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seed plan documents (%v)", err)
+	}
+	for _, path := range seeds {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_, _ = d.Snapshot() // a schedule out of sync with the levels is an error, not a panic
+	})
 }

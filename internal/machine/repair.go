@@ -21,7 +21,7 @@ type RepairCosts struct {
 }
 
 // DefaultRepairCosts are the ratios the runtime's repair gate and the
-// loopstat break-even report use. The cone weight is deliberately the
+// doastat break-even report use. The cone weight is deliberately the
 // heaviest — the worklist pays map and heap constants per member that the
 // linear scans of both other terms do not — so a cone approaching the loop
 // size loses to the cold path even though repair's suffix scan is cheap.

@@ -104,38 +104,3 @@ func clampFuzz(v, lo, hi int) int {
 	}
 	return v
 }
-
-// TestRunDynamicOver checks the pool-level dynamic doall over a member list:
-// exactly-once execution of a permuted subset, worker clamping, and the
-// empty-list fast path.
-func TestRunDynamicOver(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-
-	members := []int32{9, 3, 7, 1, 5, 0, 8, 2, 6, 4}
-	counts := make([]atomic.Int32, 10)
-	pool.RunDynamicOver(members, 3, func(worker, iter int) {
-		counts[iter].Add(1)
-	})
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("iteration %d executed %d times", i, c)
-		}
-	}
-
-	// A list shorter than the pool still covers everything (workers clamp).
-	var hits atomic.Int32
-	pool.RunDynamicOver([]int32{42}, 0, func(worker, iter int) {
-		if iter != 42 {
-			t.Errorf("iter = %d, want 42", iter)
-		}
-		hits.Add(1)
-	})
-	if hits.Load() != 1 {
-		t.Fatalf("single-member list executed %d times", hits.Load())
-	}
-
-	pool.RunDynamicOver(nil, 8, func(worker, iter int) {
-		t.Error("body called for an empty member list")
-	})
-}

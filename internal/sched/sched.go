@@ -182,10 +182,6 @@ func clampWorkers(p, n int) int {
 // leaks goroutines.
 type Pool struct {
 	workers int
-	// spawn selects the pre-pool behaviour (one goroutine spawned per worker
-	// per call). It exists as the measurement baseline for the persistent
-	// pool and as the fallback after Close.
-	spawn bool
 
 	mu     sync.Mutex // serializes submissions; held for the whole job
 	seq    uint64     // job sequence number, guarded by mu
@@ -260,17 +256,6 @@ func NewPool(p int) *Pool {
 	return pl
 }
 
-// NewSpawnPool creates a pool that spawns one goroutine per worker per call,
-// the behaviour the persistent pool replaced. It exists so the cost of
-// per-call spawning can be measured against the pooled path (see
-// BenchmarkRunReuse); new code should use NewPool.
-func NewSpawnPool(p int) *Pool {
-	if p < 1 {
-		p = 1
-	}
-	return &Pool{workers: p, spawn: true}
-}
-
 // worker is the resident loop of pool worker w: watch the epoch, run the
 // shard when a new job includes this worker, park after the spin budget.
 func (s *poolShared) worker(w int) {
@@ -323,9 +308,6 @@ func (pl *Pool) Workers() int { return pl.workers }
 // concurrently with (but not during) submissions; calls made after Close
 // still execute correctly by falling back to spawn-per-call.
 func (pl *Pool) Close() {
-	if pl.spawn {
-		return
-	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	if pl.closed {
@@ -355,10 +337,6 @@ func (pl *Pool) Submit(k int, fn func(worker int)) {
 		// A one-worker region needs no concurrency; run it on the caller
 		// without waking anything.
 		fn(0)
-		return
-	}
-	if pl.spawn {
-		spawnRun(k, fn)
 		return
 	}
 	pl.mu.Lock()
@@ -396,7 +374,8 @@ func (pl *Pool) Submit(k int, fn func(worker int)) {
 	s.fn = nil
 }
 
-// spawnRun is the pre-pool execution path: one goroutine per worker per call.
+// spawnRun runs fn on one freshly spawned goroutine per worker: the path of a
+// closed pool and of schedules wider than the pool.
 func spawnRun(k int, fn func(worker int)) {
 	var wg sync.WaitGroup
 	wg.Add(k)
@@ -497,27 +476,6 @@ func LevelChunk(chunk, width, p int) int {
 	return chunk
 }
 
-// CacheLineElems is the number of float64 elements that share one 64-byte
-// cache line — the natural alignment unit for chunked claims over dense
-// solution vectors, where a chunk boundary inside a line makes two workers
-// write the same line (false sharing) and read-locality is per-line anyway.
-const CacheLineElems = 8
-
-// LevelChunkAligned is LevelChunk with the result rounded down to a multiple
-// of align when it is larger than align: chunks claim whole cache lines, so
-// neighbouring claims touch disjoint lines. Rounding only ever shrinks the
-// chunk, so the ≥2-claims-per-worker clamp LevelChunk establishes is
-// preserved; chunks at or below align are left alone (sub-line levels can't
-// be aligned, and correctness never depends on alignment). align < 2 is the
-// identity on LevelChunk.
-func LevelChunkAligned(chunk, width, p, align int) int {
-	c := LevelChunk(chunk, width, p)
-	if align > 1 && c > align {
-		c -= c % align
-	}
-	return c
-}
-
 // DynamicClaims returns the number of chunk claims a dynamic self-scheduled
 // execution of one level of the given width issues: one per successful claim
 // at the level-clamped chunk size (LevelChunk), plus each worker's final
@@ -596,28 +554,6 @@ func DynamicLoopOver(next *atomic.Int64, members []int32, chunk, w int, body fun
 			body(w, int(it))
 		}
 	}
-}
-
-// RunDynamicOver executes body(worker, iter) for every iteration index in
-// members using self-scheduling over the pool's workers: the level-aware
-// dynamic doall. Unlike RunDynamic the position space is an explicit list, so
-// a caller can run one wavefront level (or any other subset) dynamically
-// without renumbering its iterations.
-func (pl *Pool) RunDynamicOver(members []int32, chunk int, body func(worker, iter int)) {
-	if len(members) == 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = DefaultChunk
-	}
-	k := pl.workers
-	if k > len(members) {
-		k = len(members)
-	}
-	var next atomic.Int64
-	pl.Submit(k, func(w int) {
-		DynamicLoopOver(&next, members, chunk, w, body, nil)
-	})
 }
 
 // ParallelFor runs body(i) for i in [0, n) across the pool's workers using a

@@ -416,25 +416,6 @@ func TestPoolCloseIdempotentAndUsableAfter(t *testing.T) {
 	pool.Close() // Close after fallback use is still a no-op
 }
 
-func TestSpawnPoolMatchesPooledSemantics(t *testing.T) {
-	for _, mk := range []func(int) *Pool{NewPool, NewSpawnPool} {
-		pool := mk(3)
-		out := make([]atomic.Int32, 100)
-		pool.ParallelFor(100, func(i int) { out[i].Add(1) })
-		for i := range out {
-			if out[i].Load() != 1 {
-				t.Fatalf("index %d visited %d times", i, out[i].Load())
-			}
-		}
-		var count atomic.Int64
-		pool.RunDynamic(77, 5, func(worker, pos int) { count.Add(1) })
-		if count.Load() != 77 {
-			t.Fatalf("dynamic executed %d, want 77", count.Load())
-		}
-		pool.Close()
-	}
-}
-
 func TestPoolRapidResubmitStaleTokens(t *testing.T) {
 	// Regression: a park attempt aborted through the epoch recheck can leave
 	// a stale token in the worker's wake channel; a later submission must
@@ -452,56 +433,5 @@ func TestPoolRapidResubmitStaleTokens(t *testing.T) {
 	}
 	if total.Load() != want {
 		t.Fatalf("executed %d shards, want %d", total.Load(), want)
-	}
-}
-
-// TestLevelChunkAligned pins the cache-line rounding contract: align 1 is the
-// identity on LevelChunk, larger aligns only ever round the clamped chunk
-// down to an align multiple, and chunks at or below align are untouched (a
-// sub-line chunk cannot be aligned and must not collapse to zero).
-func TestLevelChunkAligned(t *testing.T) {
-	cases := []struct {
-		chunk, width, p, align int
-		want                   int
-	}{
-		{chunk: 64, width: 1024, p: 4, align: 1, want: LevelChunk(64, 1024, 4)},
-		{chunk: 64, width: 1024, p: 4, align: 8, want: 64}, // already aligned
-		{chunk: 60, width: 1024, p: 4, align: 8, want: 56}, // rounded down
-		{chunk: 64, width: 100, p: 4, align: 8, want: 8},   // clamp to 12, then align
-		{chunk: 7, width: 1024, p: 4, align: 8, want: 7},   // at/below align: untouched
-		{chunk: 64, width: 6, p: 4, align: 8, want: 1},     // clamp floor survives
-		{chunk: 9, width: 1024, p: 4, align: 8, want: 8},   // just above align
-		{chunk: 64, width: 1024, p: 4, align: 0, want: LevelChunk(64, 1024, 4)},
-	}
-	for _, c := range cases {
-		if got := LevelChunkAligned(c.chunk, c.width, c.p, c.align); got != c.want {
-			t.Errorf("LevelChunkAligned(%d,%d,%d,%d) = %d, want %d",
-				c.chunk, c.width, c.p, c.align, got, c.want)
-		}
-	}
-}
-
-// TestLevelChunkAlignedProperties quick-checks the invariants over the whole
-// parameter space: the result is always ≥1, never exceeds the LevelChunk
-// clamp, and is an align multiple whenever it exceeds align.
-func TestLevelChunkAlignedProperties(t *testing.T) {
-	f := func(chunk, width, p, align uint8) bool {
-		c, w, k, a := int(chunk)+1, int(width)+1, int(p)+1, int(align)
-		got := LevelChunkAligned(c, w, k, a)
-		base := LevelChunk(c, w, k)
-		if got < 1 || got > base {
-			return false
-		}
-		if a > 1 && got > a && got%a != 0 {
-			return false
-		}
-		// Alignment never shrinks below the largest align multiple ≤ base.
-		if a > 1 && base > a && got < base-base%a {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

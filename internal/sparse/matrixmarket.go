@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -83,8 +84,14 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: negative MatrixMarket dimensions %dx%d nnz=%d", rows, cols, nnz)
 	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		// Execution plans index iterations and elements with int32.
+		return nil, fmt.Errorf("sparse: MatrixMarket dimensions %dx%d exceed %d", rows, cols, math.MaxInt32)
+	}
 
-	ts := make([]Triplet, 0, nnz)
+	// The size line's nnz is unverified until the entries are counted, so it
+	// must not size an allocation.
+	var ts []Triplet
 	read := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

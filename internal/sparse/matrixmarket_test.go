@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,9 @@ func TestMatrixMarketRejects(t *testing.T) {
 		"zero-index":        "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
 		"entry-count-short": "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
 		"entry-count-long":  "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n1 1 2.0\n",
+		"huge-nnz":          "%%MatrixMarket matrix coordinate real general\n1 1 999999999999999999\n",
+		"huge-rows":         "%%MatrixMarket matrix coordinate real general\n999999999999999999 1 0\n",
+		"huge-cols":         "%%MatrixMarket matrix coordinate real general\n1 2147483648 0\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ReadMatrixMarket(strings.NewReader(input)); err == nil {
@@ -152,4 +156,54 @@ func TestMatrixMarketRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadMatrixMarket feeds arbitrary bytes to the reader: every input must
+// yield an error or a well-formed CSR matrix, never a panic.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 2.0\n2 1 -1\n3 2 1e-3\n3 3 4\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate pattern symmetric\n% comment\n\n2 2 2\n1 1\n2 1\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate integer skew-symmetric\n2 2 1\n2 1 3\n"))
+	f.Add([]byte("%%MatrixMarket matrix coordinate real general\n1 1 999999999999999999\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if declaredRows(data) > 1<<20 {
+			// A legal header may declare up to MaxInt32 rows, and the row
+			// pointer array is allocated from it; skip what this process
+			// cannot afford rather than fuzz the allocator.
+			t.Skip()
+		}
+		m, err := ReadMatrixMarket(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(m.RowPtr) != m.Rows+1 || m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.Col) || len(m.Col) != len(m.Val) {
+			t.Fatalf("malformed CSR: %dx%d rowptr=%d col=%d val=%d", m.Rows, m.Cols, len(m.RowPtr), len(m.Col), len(m.Val))
+		}
+		for i := 0; i < m.Rows; i++ {
+			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+				if m.Col[k] < 0 || m.Col[k] >= m.Cols || (k > m.RowPtr[i] && m.Col[k] <= m.Col[k-1]) {
+					t.Fatalf("row %d: column %d out of order or outside [0, %d)", i, m.Col[k], m.Cols)
+				}
+			}
+		}
+	})
+}
+
+// declaredRows returns the row count on the first size line of a
+// MatrixMarket input — the first line after the banner that is neither blank
+// nor a comment — or 0 when there is none to parse.
+func declaredRows(data []byte) int {
+	lines := strings.Split(string(data), "\n")
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		if f := strings.Fields(line); len(f) > 0 {
+			rows, _ := strconv.Atoi(f[0])
+			return rows
+		}
+		return 0
+	}
+	return 0
 }

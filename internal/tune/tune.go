@@ -224,6 +224,18 @@ const (
 	DefaultBlend   = 0.5
 )
 
+// maxSampleRatio caps how far above an arm's moving average one observation
+// can pull it: a larger sample is absorbed as exactly this multiple of the
+// average. Executor-phase times carry one-sided noise — a worker the host
+// deschedules for a scheduler tick turns a 300 µs solve into a 4 ms one — and
+// an uncapped average lets one such run lift the winning arm past the
+// runner-up, after which only a rare exploration re-measures it. Capped, one
+// hiccup moves the average by at most Alpha*(maxSampleRatio-1) (12.5% at the
+// default Alpha), while a sustained slowdown is still tracked geometrically.
+// A sample equal to the average, as in a fixed-truth simulation, is
+// unaffected.
+const maxSampleRatio = 1.5
+
 // WithDefaults resolves the zero fields to the package defaults and clamps
 // out-of-range values into their documented domains.
 func (o Options) WithDefaults() Options {
@@ -356,7 +368,8 @@ func (s *PlanState) Decide(st Stats, workers, nrhs int, o Options, rng *RNG) (pi
 // Observe feeds one completed run back in: observedNs is the measured
 // executor-phase time of the executor that ran (arm exec), for the loop
 // shape st at the given worker count and block width. The arm's moving
-// average absorbs the sample, and the coefficients are re-calibrated against
+// average absorbs the sample, capped at maxSampleRatio times the average
+// once the arm has one, and the coefficients are re-calibrated against
 // the updated average (see calibrate). Non-finite or negative samples and
 // out-of-range arms are ignored.
 func (s *PlanState) Observe(exec int, st Stats, workers, nrhs int, observedNs float64, o Options) {
@@ -370,6 +383,9 @@ func (s *PlanState) Observe(exec int, st Stats, workers, nrhs int, observedNs fl
 	if s.Obs[exec] == 0 {
 		s.ObsNs[exec] = observedNs
 	} else {
+		if limit := maxSampleRatio * s.ObsNs[exec]; limit > 0 && observedNs > limit {
+			observedNs = limit
+		}
 		s.ObsNs[exec] += o.Alpha * (observedNs - s.ObsNs[exec])
 	}
 	s.Obs[exec]++

@@ -76,6 +76,44 @@ func TestObserveFirstSampleInitializes(t *testing.T) {
 	}
 }
 
+// TestObserveCapsOutlierSample: one sample far above an arm's average — a
+// run the host descheduled for a scheduler tick — lifts the average by at
+// most Alpha*(maxSampleRatio-1) and does not flip a greedy decision over a
+// runner-up 20% behind, while a sustained slowdown still overtakes it.
+func TestObserveCapsOutlierSample(t *testing.T) {
+	st := chainStats(256, 4)
+	o := Options{Epsilon: -1}
+	s := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25})
+	s.Observe(Doacross, st, 4, 1, 300e3, o)
+	s.Observe(Wavefront, st, 4, 1, 360e3, o)
+	s.Observe(WavefrontDynamic, st, 4, 1, 400e3, o)
+	s.Observe(Doacross, st, 4, 1, 4.3e6, o)
+	if want := 300e3 * (1 + DefaultAlpha*(maxSampleRatio-1)); s.ObsNs[Doacross] != want {
+		t.Fatalf("average after one outlier = %g, want %g", s.ObsNs[Doacross], want)
+	}
+	if pick, _ := s.Decide(st, 4, 1, o, nil); pick != Doacross {
+		t.Fatalf("one outlier flipped the greedy pick to %s", ExecutorName(pick))
+	}
+	for k := 1; ; k++ {
+		s.Observe(Doacross, st, 4, 1, 3e6, o)
+		if pick, _ := s.Decide(st, 4, 1, o, nil); pick != Doacross {
+			break
+		}
+		if k == 4 {
+			t.Fatalf("a sustained 10x slowdown kept doacross picked for %d runs (average %g)", k, s.ObsNs[Doacross])
+		}
+	}
+
+	// A zero first sample leaves no average to cap against: later samples
+	// are absorbed whole rather than pinned at zero.
+	z := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5})
+	z.Observe(Wavefront, st, 4, 1, 0, o)
+	z.Observe(Wavefront, st, 4, 1, 1000, o)
+	if got := z.ObsNs[Wavefront]; got != DefaultAlpha*1000 {
+		t.Fatalf("average after a zero first sample = %g, want %g", got, DefaultAlpha*1000)
+	}
+}
+
 // TestCalibrateRecoversInjectedIterNs: observations generated by the model
 // itself with a hidden IterNs are back-solved to that IterNs, whatever arm
 // produced them, and the tuned prediction converges to the truth.
