@@ -118,12 +118,16 @@ const (
 // AutoCosts are the coefficients of the Auto selection's cost model: the
 // cost of one level-barrier rendezvous, of one flag-table operation, of one
 // dynamic chunk claim, and an optional per-iteration work estimate. Zero
-// value means self-calibrate; see WithAutoCosts and the core documentation
-// of the model.
+// value means self-calibrate; see WithAutoCosts. Its PredictN method prices
+// the three executors for an InspectStats and Choose replays Auto's pick
+// offline; the model is documented once, on internal/tune's Coeffs, which
+// this type aliases.
 type AutoCosts = core.AutoCosts
 
 // TuningOptions configures the online self-tuning Auto selection; see
-// WithOnlineTuning. The zero value of every field means its default.
+// WithOnlineTuning. The zero value of every field means its default: probe
+// for the seed coefficients (InitialCosts), explore with probability 0.125
+// (Epsilon), seed the exploration RNG with 1 (Seed).
 type TuningOptions = core.TuningOptions
 
 // TuningSnapshot is a point-in-time copy of a runtime's online-tuning state;
@@ -153,8 +157,10 @@ type RepairReport = core.RepairReport
 func WithEdits(iters ...int) EditSet { return EditSet{Iters: iters} }
 
 // InspectStats describes what the inspector learned about a loop's
-// dependency structure: level count, widths, critical path, and whether the
-// decomposition came from the runtime's schedule cache.
+// dependency structure: level count, widths, critical path, the schedule,
+// stall and claim statistics the Auto cost model prices, and whether the
+// decomposition came from the runtime's schedule cache. It is the input of
+// AutoCosts.PredictN and AutoCosts.Choose.
 type InspectStats = core.InspectStats
 
 // WaitStrategy selects how executors wait on unsatisfied true dependencies.
@@ -264,15 +270,17 @@ func WithExecutor(k ExecutorKind) Option {
 // cost of one flag-table operation, ClaimNs the cost of one dynamic chunk
 // claim (zero excludes the dynamic executor from the comparison), and IterNs
 // an optional estimate of one iteration's useful work (zero compares pure
-// synchronization overheads). Only the ratios matter. Supplying the
-// coefficients makes WithExecutor(Auto) deterministic across hosts — tests
-// and simulator-calibrated deployments want that; leave it unset to let the
+// synchronization overheads). Only the ratios matter. All four must be
+// finite, BarrierNs and FlagCheckNs positive, ClaimNs and IterNs
+// non-negative; New rejects anything else. Supplying the coefficients makes
+// WithExecutor(Auto) deterministic across hosts — tests and
+// simulator-calibrated deployments want that; leave it unset to let the
 // runtime measure its own barrier, flag-check and claim costs once on its
 // live pool.
 func WithAutoCosts(c AutoCosts) Option {
 	return func(cf *config) {
-		if c.BarrierNs <= 0 || c.FlagCheckNs <= 0 || c.ClaimNs < 0 || c.IterNs < 0 {
-			cf.fail(fmt.Errorf("doacross: WithAutoCosts requires positive BarrierNs and FlagCheckNs (and non-negative ClaimNs and IterNs), got %+v", c))
+		if !c.Valid() {
+			cf.fail(fmt.Errorf("doacross: WithAutoCosts requires finite coefficients, positive BarrierNs and FlagCheckNs and non-negative ClaimNs and IterNs, got %+v", c))
 			return
 		}
 		cf.opts.AutoCosts = c
@@ -282,17 +290,20 @@ func WithAutoCosts(c AutoCosts) Option {
 // WithOnlineTuning enables measured-feedback calibration of the Auto
 // selection: every completed Auto run feeds its measured executor-phase time
 // back into a per-plan-fingerprint calibration that smooths the observations
-// (EMA at o.Alpha), back-solves the cost-model coefficients toward what the
-// measurements imply (folding at o.Blend, the per-iteration work term first),
-// and decides subsequent runs epsilon-greedily (o.Epsilon) — preferring the
-// measured-fastest executor but occasionally re-sampling a less-observed one,
-// so a wrong initial pick cannot lock in. The exploration RNG is seeded
-// (o.Seed), making decision sequences reproducible run for run.
+// (an exponential moving average with the fixed smoothing factor 0.25, one
+// outlier sample capped at 1.5x the average), back-solves the cost-model
+// coefficients toward what the measurements imply (folded in at the fixed
+// rate 0.5, the per-iteration work term first), and decides subsequent runs
+// epsilon-greedily (o.Epsilon) — preferring the measured-fastest executor but
+// occasionally re-sampling a less-observed one, so a wrong initial pick
+// cannot lock in. The exploration RNG is seeded (o.Seed), making decision
+// sequences reproducible run for run.
 //
-// o.InitialCosts seeds the calibration instead of the self-calibration probe;
-// unlike WithAutoCosts it is a starting point the feedback corrects, not a
-// pin. Combining WithOnlineTuning with WithAutoCosts is allowed and freezes
-// the tuner: pinned coefficients declare the model known, so no feedback is
+// o.InitialCosts seeds the calibration instead of the self-calibration probe
+// (it must be zero or pass the same check as WithAutoCosts); unlike
+// WithAutoCosts it is a starting point the feedback corrects, not a pin.
+// Combining WithOnlineTuning with WithAutoCosts is allowed and freezes the
+// tuner: pinned coefficients declare the model known, so no feedback is
 // recorded and the tuner state never changes. Off by default; when off, the
 // only per-run cost of the machinery is a nil test. Reports of tuned runs
 // stamp Report.TunedCosts and Report.Explored, and the accumulated state is
@@ -300,20 +311,12 @@ func WithAutoCosts(c AutoCosts) Option {
 // TuningSink.
 func WithOnlineTuning(o TuningOptions) Option {
 	return func(c *config) {
-		if o.Alpha < 0 || o.Alpha > 1 {
-			c.fail(fmt.Errorf("doacross: WithOnlineTuning requires Alpha in [0, 1], got %v", o.Alpha))
-			return
-		}
-		if o.Blend < 0 || o.Blend > 1 {
-			c.fail(fmt.Errorf("doacross: WithOnlineTuning requires Blend in [0, 1], got %v", o.Blend))
-			return
-		}
 		if o.Epsilon > 1 {
 			c.fail(fmt.Errorf("doacross: WithOnlineTuning requires Epsilon at most 1 (negative disables exploration), got %v", o.Epsilon))
 			return
 		}
-		if ic := o.InitialCosts; ic != (AutoCosts{}) && (ic.BarrierNs <= 0 || ic.FlagCheckNs <= 0 || ic.ClaimNs < 0 || ic.IterNs < 0) {
-			c.fail(fmt.Errorf("doacross: WithOnlineTuning InitialCosts require positive BarrierNs and FlagCheckNs (and non-negative ClaimNs and IterNs), got %+v", ic))
+		if ic := o.InitialCosts; ic != (AutoCosts{}) && !ic.Valid() {
+			c.fail(fmt.Errorf("doacross: WithOnlineTuning InitialCosts require finite coefficients, positive BarrierNs and FlagCheckNs and non-negative ClaimNs and IterNs, got %+v", ic))
 			return
 		}
 		c.opts.Tuning = &o

@@ -20,9 +20,9 @@ import (
 	"fmt"
 
 	"doacross"
-	"doacross/internal/machine"
 	"doacross/internal/sparse"
 	"doacross/internal/stencil"
+	"doacross/internal/tune"
 )
 
 func main() {
@@ -99,11 +99,10 @@ func main() {
 	// Where the runtime's gate sits for this workload: edits whose dirty
 	// cone stays under the break-even threshold repair, larger ones fall
 	// back to the cold path (RepairReport.Repaired == false).
-	rc := machine.DefaultRepairCosts
-	breakEven := rc.BreakEvenCone(st.Iterations, st.Edges)
+	breakEven := tune.BreakEvenCone(st.Iterations, st.Edges)
 	if breakEven > st.Iterations {
 		breakEven = st.Iterations
 	}
 	fmt.Printf("cost model: cold inspection %.0f units, break-even cone %d of %d iterations\n",
-		rc.ColdInspect(st.Iterations, st.Edges), breakEven, st.Iterations)
+		tune.ColdInspectUnits(st.Iterations, st.Edges), breakEven, st.Iterations)
 }

@@ -9,6 +9,7 @@ import (
 	"doacross/internal/depgraph"
 	"doacross/internal/flags"
 	"doacross/internal/sched"
+	"doacross/internal/tune"
 )
 
 // ExecutorKind selects the execution strategy of a Runtime: how the loop's
@@ -136,24 +137,24 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 			// is no decision to learn.
 			base := rt.tunerBase()
 			ps := rt.tuner.planState(plan.fp, base)
-			arm, explored := ps.Decide(plan.stats.tuneStats(), rt.opts.Workers, nrhs, rt.tuner.opts, rt.tuner.rng)
+			arm, explored := ps.Decide(plan.stats, rt.opts.Workers, nrhs, rt.tuner.opts, rt.tuner.rng)
 			pick = kindOfTuneExec(arm)
 			rt.tuneObs = pendingObservation{ps: ps, stats: plan.stats, exec: arm, nrhs: nrhs, explored: explored}
 			if rep != nil {
 				rep.AutoCosts = base
-				rep.TunedCosts = AutoCosts(ps.Coeffs)
+				rep.TunedCosts = ps.Coeffs
 				rep.Explored = explored
 				rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs =
-					rep.TunedCosts.PredictN(plan.stats, rt.opts.Workers, nrhs)
+					ps.Coeffs.PredictN(plan.stats, rt.opts.Workers, nrhs)
 			}
 		} else {
 			costs := rt.autoCostsFor()
+			arm, tda, twf, tdyn := costs.Choose(plan.stats, rt.opts.Workers, nrhs)
+			pick = kindOfTuneExec(arm)
 			if rep != nil {
 				rep.AutoCosts = costs
-				rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs =
-					costs.PredictN(plan.stats, rt.opts.Workers, nrhs)
+				rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs = tda, twf, tdyn
 			}
-			pick = autoChoose(plan.stats, rt.opts.Workers, nrhs, costs)
 		}
 		if pick == ExecDoacross {
 			return doacrossExecutor{rt}, nil
@@ -167,62 +168,8 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 // InspectStats describes what the inspector learned about a loop's
 // dependency structure: the wavefront decomposition the pre-scheduled
 // executor would run, and the summary numbers the Auto selection consults.
-type InspectStats struct {
-	// Iterations is the loop's iteration count.
-	Iterations int
-	// Edges is the number of (deduplicated) true-dependency edges.
-	Edges int
-	// StallWeight estimates the pipeline stalls the doacross would suffer,
-	// from the dependence-distance histogram: Σ over edges of
-	// max(0, (P - d)/P), where d is the edge's distance (consumer iteration
-	// minus producer) and P the worker count. A distance-1 edge stalls its
-	// consumer's worker almost a full iteration (the producer started in the
-	// same schedule round); an edge at distance ≥ P is fully absorbed by the
-	// pipelining. Lengthening distances is exactly what the paper's
-	// doconsider reordering buys, so this is the statistic that separates a
-	// natural-order solve from a reordered one.
-	StallWeight float64
-	// Levels is the number of wavefront levels.
-	Levels int
-	// MaxLevelWidth is the size of the widest level.
-	MaxLevelWidth int
-	// MeanLevelWidth is Iterations / Levels, the average parallelism a
-	// level-scheduled execution exposes.
-	MeanLevelWidth float64
-	// CriticalPathLen is the number of iterations on the longest dependency
-	// chain (equal to Levels: the level of an iteration is the length of the
-	// longest chain ending at it).
-	CriticalPathLen int
-	// ScheduleRounds is the barrier-rounded depth of the wavefront's static
-	// schedule: the sum over levels of ceil(width / schedule workers), i.e.
-	// the number of iteration slots the slowest worker executes. It is what
-	// the Auto cost model charges the wavefront's work term with (the
-	// doacross's pipelined counterpart is max(ceil(N/P), CriticalPathLen)).
-	ScheduleRounds int
-	// ReadImbalance is the extra true-dependency read terms the static level
-	// schedule's slowest worker executes beyond a perfectly balanced
-	// within-level split, summed over levels: Σ_l (max_w reads(items(l,w)) −
-	// ceil(reads_l / P)), with reads counted as in-degree. It is zero when
-	// every iteration of a level costs the same, and grows with the
-	// heavy-tailed per-iteration cost variance (one hot row per wavefront)
-	// that the dynamic within-level executor absorbs — the statistic that
-	// separates the static from the dynamic wavefront in the Auto model.
-	ReadImbalance float64
-	// DynamicClaims is the number of chunk claims a dynamic within-level
-	// execution of this decomposition issues: Σ_l (ceil(w_l/chunk) + P) —
-	// every successful chunk claim plus each worker's final failed claim per
-	// level, at the runtime's configured chunk size.
-	DynamicClaims int
-	// CacheHit reports whether the decomposition came from the runtime's
-	// schedule cache rather than a fresh inspection.
-	CacheHit bool
-}
-
-// String renders the statistics in a compact single-line form.
-func (s InspectStats) String() string {
-	return fmt.Sprintf("iters=%d edges=%d levels=%d maxWidth=%d meanWidth=%.1f cached=%v",
-		s.Iterations, s.Edges, s.Levels, s.MaxLevelWidth, s.MeanLevelWidth, s.CacheHit)
-}
+// It is the cost model's input type, defined in package tune; see tune.Stats.
+type InspectStats = tune.Stats
 
 // wavefrontPlan is everything the wavefront executor needs to run one loop
 // shape: the dense writer index (the execution-time dependency

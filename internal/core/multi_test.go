@@ -10,6 +10,7 @@ import (
 	"doacross/internal/flags"
 	"doacross/internal/sched"
 	"doacross/internal/sparse"
+	"doacross/internal/tune"
 )
 
 // randomMultiDAGLoop is randomDAGLoop with a BodyMulti computing exactly the
@@ -533,13 +534,11 @@ func TestAutoFlipsWithBlockWidth(t *testing.T) {
 	// Guard: the model itself must flip between 1 and MaxRHSBlock columns for
 	// this loop and these coefficients, or the end-to-end assertion below is
 	// vacuous.
-	if pick := autoChoose(st, workers, 1, costs); pick != ExecDoacross {
-		da, wf, dyn := costs.PredictN(st, workers, 1)
-		t.Fatalf("model picks %v at nrhs=1 (da=%v wf=%v dyn=%v); the flip test needs doacross", pick, da, wf, dyn)
+	if pick, da, wf, dyn := costs.Choose(st, workers, 1); pick != tune.Doacross {
+		t.Fatalf("model picks %v at nrhs=1 (da=%v wf=%v dyn=%v); the flip test needs doacross", tune.ExecutorName(pick), da, wf, dyn)
 	}
-	if pick := autoChoose(st, workers, MaxRHSBlock, costs); pick != ExecWavefront {
-		da, wf, dyn := costs.PredictN(st, workers, MaxRHSBlock)
-		t.Fatalf("model picks %v at nrhs=%d (da=%v wf=%v dyn=%v); the flip test needs wavefront", pick, MaxRHSBlock, da, wf, dyn)
+	if pick, da, wf, dyn := costs.Choose(st, workers, MaxRHSBlock); pick != tune.Wavefront {
+		t.Fatalf("model picks %v at nrhs=%d (da=%v wf=%v dyn=%v); the flip test needs wavefront", tune.ExecutorName(pick), MaxRHSBlock, da, wf, dyn)
 	}
 
 	y := make([]float64, l.N)

@@ -14,6 +14,7 @@ import (
 	"doacross/internal/flags"
 	"doacross/internal/sched"
 	"doacross/internal/sparse"
+	"doacross/internal/tune"
 )
 
 // TestPropertyDoacrossEquivalentToSequential is the central correctness
@@ -865,5 +866,82 @@ func TestWavefrontRunCleansStandaloneInspect(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Close()
+	}
+}
+
+// TestPropertyOfflinePickIsLivePick pins the contract doastat and the paper
+// tables rely on: replaying the Auto selection offline — AutoCosts.Choose on
+// the statistics Runtime.Inspect returns — yields exactly the executor and
+// the three predictions an untuned Auto run with the same pinned
+// coefficients reports, for scalar runs and full-width RunMulti blocks alike.
+func TestPropertyOfflinePickIsLivePick(t *testing.T) {
+	var seen [tune.NumExecutors]int
+	for trial := 0; trial < 24; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial) + 1))
+		var l *Loop
+		var y []float64
+		if trial%2 == 0 {
+			l, y = randomMultiDAGLoop(rng, 30+rng.Intn(120))
+		} else {
+			l, y = skewedLevelLoop(rng, 4+rng.Intn(12), 2+rng.Intn(10))
+			l.BodyMulti = func(i int, v *MultiValues) {
+				out := v.Row(i)
+				for _, e := range l.Reads(i) {
+					row := v.LoadRow(e)
+					for c := range out {
+						out[c] += row[c]
+					}
+				}
+			}
+		}
+		costs := AutoCosts{
+			BarrierNs:   1 + 2000*rng.Float64(),
+			FlagCheckNs: 0.5 + 50*rng.Float64(),
+		}
+		if rng.Intn(3) > 0 {
+			costs.ClaimNs = 0.5 + 100*rng.Float64()
+		}
+		if rng.Intn(2) == 0 {
+			costs.IterNs = 200 * rng.Float64()
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, nrhs := range []int{1, MaxRHSBlock} {
+				rt := NewRuntime(l.Data, Options{
+					Workers:      workers,
+					Executor:     ExecAuto,
+					AutoCosts:    costs,
+					WaitStrategy: flags.WaitSpinYield,
+				})
+				st, err := rt.Inspect(l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pick, tda, twf, tdyn := costs.Choose(st, workers, nrhs)
+				var rep Report
+				if nrhs == 1 {
+					rep, err = rt.Run(l, append([]float64(nil), y...))
+				} else {
+					rep, err = rt.RunMulti(context.Background(), l, randomColumns(rng, y, nrhs))
+				}
+				rt.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Executor != tune.ExecutorName(pick) ||
+					rep.PredictedDoacrossNs != tda || rep.PredictedWavefrontNs != twf || rep.PredictedDynamicNs != tdyn {
+					t.Fatalf("trial %d, %d workers, %d rhs, costs %+v: live run reported %s (%v, %v, %v), offline Choose %s (%v, %v, %v)",
+						trial, workers, nrhs, costs, rep.Executor, rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs,
+						tune.ExecutorName(pick), tda, twf, tdyn)
+				}
+				seen[pick]++
+			}
+		}
+	}
+	// The trials are seeded, so this guard is deterministic: every arm must
+	// win somewhere, or the property checks less than it claims.
+	for e, n := range seen {
+		if n == 0 {
+			t.Errorf("no trial picked %s (picks %v)", tune.ExecutorName(e), seen)
+		}
 	}
 }

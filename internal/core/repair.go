@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"doacross/internal/depgraph"
-	"doacross/internal/machine"
 	"doacross/internal/sched"
+	"doacross/internal/tune"
 )
 
 // EditSet describes an in-place mutation of a loop's access pattern: the
@@ -64,10 +64,10 @@ type RepairReport struct {
 // with a nil error — when no repairable plan is cached for l (the plan must
 // be the one the loop's own previous runs built: repaired plans are tracked
 // through the pointer-identity memo), or when the dirty cone exceeds the
-// break-even budget (machine.DefaultRepairCosts.BreakEvenCone), in which case
-// a cold re-inspect is predicted cheaper anyway. Either way the cache is left
-// consistent with the edited pattern; callers never need to pair RepairPlans
-// with InvalidatePlans.
+// break-even budget (tune.BreakEvenCone), in which case a cold re-inspect is
+// predicted cheaper anyway. Either way the cache is left consistent with the
+// edited pattern; callers never need to pair RepairPlans with
+// InvalidatePlans.
 //
 // Like InvalidatePlans it serializes with runs and is safe to call
 // concurrently with them. The loop's next run stamps Report.PlanRepaired and
@@ -185,7 +185,7 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 		stallDelta += stallContribution(i, g.Preds[i], workers)
 	}
 
-	budget := machine.DefaultRepairCosts.BreakEvenCone(plan.n, g.Edges)
+	budget := tune.BreakEvenCone(plan.n, g.Edges)
 	dirty32 := make([]int32, len(dirty))
 	for k, i := range dirty {
 		dirty32[k] = int32(i)

@@ -7,54 +7,17 @@ import (
 )
 
 // TuningOptions configures the online self-tuning Auto selection
-// (Options.Tuning / doacross.WithOnlineTuning). The zero value of every
-// field means its default; see the field comments. Tuning is keyed by plan
-// fingerprint: every loop shape a runtime serves calibrates independently.
-type TuningOptions struct {
-	// InitialCosts seeds the tuner's coefficients instead of the
-	// self-calibration probe. Unlike Options.AutoCosts — which pins the
-	// coefficients and therefore freezes tuning — these are just the
-	// starting point the measured feedback corrects, which is what the
-	// convergence tests exploit by seeding deliberately wrong values. The
-	// zero value means "probe once, then tune".
-	InitialCosts AutoCosts
-	// Alpha is the exponential-moving-average smoothing factor applied to
-	// each executor's observed run times, in (0, 1]. Zero means
-	// tune.DefaultAlpha. A sample above 1.5x the executor's average is
-	// absorbed as 1.5x, so one descheduled run cannot flip the pick.
-	Alpha float64
-	// Epsilon is the exploration probability: the chance each Auto decision
-	// deliberately runs the least-observed non-best executor instead of the
-	// best-scoring one, so a wrong initial pick cannot lock in. Zero means
-	// tune.DefaultEpsilon; negative disables exploration (pure greedy).
-	Epsilon float64
-	// Blend is the rate back-solved coefficient proposals are folded into
-	// the tuned coefficients, in (0, 1]. Zero means tune.DefaultBlend.
-	Blend float64
-	// Seed seeds the deterministic exploration RNG; zero means 1. Two
-	// runtimes with equal seeds, workloads and timings explore the same
-	// runs.
-	Seed uint64
-}
-
-// tuneOptions projects the configuration onto the tune package's knobs.
-func (o TuningOptions) tuneOptions() tune.Options {
-	return tune.Options{Alpha: o.Alpha, Epsilon: o.Epsilon, Blend: o.Blend, Seed: o.Seed}
-}
+// (Options.Tuning / doacross.WithOnlineTuning); see tune.Options.
+type TuningOptions = tune.Options
 
 // tuner is the runtime's online tuning state: one tune.PlanState per plan
 // fingerprint, the shared exploration RNG, and the aggregate counters the
 // snapshot and the metrics sink report. It is guarded by the runtime's run
 // mutex like every other piece of plan state.
 type tuner struct {
-	opts tune.Options
-	rng  *tune.RNG
-	// initial is the configured seed coefficients (possibly zero); base the
-	// resolved ones — initial when valid, otherwise the probe's measurement,
-	// resolved lazily on the first tuned decision.
-	initial AutoCosts
-	base    AutoCosts
-	plans   map[uint64]*tune.PlanState
+	opts  tune.Options
+	rng   *tune.RNG
+	plans map[uint64]*tune.PlanState
 	// observations counts completed runs fed back in; explorations the
 	// subset that deliberately ran a non-best executor.
 	observations uint64
@@ -63,12 +26,11 @@ type tuner struct {
 
 // newTuner builds the tuner for a runtime configured with Options.Tuning.
 func newTuner(o TuningOptions) *tuner {
-	opts := o.tuneOptions().WithDefaults()
+	o = o.WithDefaults()
 	return &tuner{
-		opts:    opts,
-		rng:     tune.NewRNG(opts.Seed),
-		initial: o.InitialCosts,
-		plans:   make(map[uint64]*tune.PlanState),
+		opts:  o,
+		rng:   tune.NewRNG(o.Seed),
+		plans: make(map[uint64]*tune.PlanState),
 	}
 }
 
@@ -78,23 +40,18 @@ func newTuner(o TuningOptions) *tuner {
 // (no plan state is created or updated, so a frozen tuner's snapshot is
 // byte-identical across runs).
 func (rt *Runtime) tuningActive() bool {
-	return rt.tuner != nil && !rt.opts.AutoCosts.valid()
+	return rt.tuner != nil && !rt.opts.AutoCosts.Valid()
 }
 
 // tunerBase resolves the coefficients a fresh plan's tuner state is seeded
 // from: the configured initial costs when valid, otherwise the probe's
-// one-time measurement (shared with the untuned Auto path through
-// autoCostsFor's memo).
+// one-time measurement (memoized by autoCostsFor, shared with the untuned
+// Auto path).
 func (rt *Runtime) tunerBase() AutoCosts {
-	if rt.tuner.base.valid() {
-		return rt.tuner.base
+	if ic := rt.tuner.opts.InitialCosts; ic.Valid() {
+		return ic
 	}
-	if rt.tuner.initial.valid() {
-		rt.tuner.base = rt.tuner.initial
-	} else {
-		rt.tuner.base = rt.autoCostsFor()
-	}
-	return rt.tuner.base
+	return rt.autoCostsFor()
 }
 
 // planState returns (building on first use) the tuner state of the plan with
@@ -102,7 +59,7 @@ func (rt *Runtime) tunerBase() AutoCosts {
 func (tn *tuner) planState(fp uint64, base AutoCosts) *tune.PlanState {
 	ps := tn.plans[fp]
 	if ps == nil {
-		s := tune.NewPlanState(tune.Coeffs(base))
+		s := tune.NewPlanState(base)
 		ps = &s
 		tn.plans[fp] = ps
 	}
@@ -123,18 +80,6 @@ type pendingObservation struct {
 	explored bool
 }
 
-// kindOfTuneExec maps a tune arm index back to the runtime's ExecutorKind.
-func kindOfTuneExec(e int) ExecutorKind {
-	switch e {
-	case tune.Wavefront:
-		return ExecWavefront
-	case tune.WavefrontDynamic:
-		return ExecWavefrontDynamic
-	default:
-		return ExecDoacross
-	}
-}
-
 // observeTuning completes the feedback loop after a successful run: the
 // armed decision's plan state absorbs the measured executor-phase time, and
 // the report's tuned coefficients and predicted times are re-stamped from
@@ -148,15 +93,14 @@ func (rt *Runtime) observeTuning(rep *Report) {
 		return
 	}
 	rt.tuneObs = pendingObservation{}
-	ob.ps.Observe(ob.exec, ob.stats.tuneStats(), rt.opts.Workers, ob.nrhs, float64(rep.ExecTime.Nanoseconds()), rt.tuner.opts)
+	ob.ps.Observe(ob.exec, ob.stats, rt.opts.Workers, ob.nrhs, float64(rep.ExecTime.Nanoseconds()))
 	rt.tuner.observations++
 	if ob.explored {
 		rt.tuner.explorations++
 	}
-	tuned := AutoCosts(ob.ps.Coeffs)
-	rep.TunedCosts = tuned
+	rep.TunedCosts = ob.ps.Coeffs
 	rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs =
-		tuned.PredictN(ob.stats, rt.opts.Workers, ob.nrhs)
+		rep.TunedCosts.PredictN(ob.stats, rt.opts.Workers, ob.nrhs)
 	if ts, ok := rt.opts.Metrics.(TuningSink); ok {
 		ts.RecordTuning(ob.explored)
 	}
@@ -219,7 +163,7 @@ func (rt *Runtime) TuningSnapshot() TuningSnapshot {
 				Fingerprint:      fp,
 				Runs:             ps.Runs,
 				Explorations:     ps.Explorations,
-				Costs:            AutoCosts(ps.Coeffs),
+				Costs:            ps.Coeffs,
 				Doacross:         TuningArm{ps.Obs[tune.Doacross], ps.ObsNs[tune.Doacross]},
 				Wavefront:        TuningArm{ps.Obs[tune.Wavefront], ps.ObsNs[tune.Wavefront]},
 				WavefrontDynamic: TuningArm{ps.Obs[tune.WavefrontDynamic], ps.ObsNs[tune.WavefrontDynamic]},

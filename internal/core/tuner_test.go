@@ -40,7 +40,7 @@ func TestTuningObservationCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.TunedCosts.valid() {
+		if !rep.TunedCosts.Valid() {
 			t.Fatalf("run %d: report carries no tuned coefficients: %+v", r, rep.TunedCosts)
 		}
 		if rep.Explored {
@@ -91,7 +91,7 @@ func TestTuningFrozenByAutoCosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.TunedCosts.valid() || rep.Explored {
+		if rep.TunedCosts.Valid() || rep.Explored {
 			t.Fatalf("frozen tuner stamped the report: %+v explored=%v", rep.TunedCosts, rep.Explored)
 		}
 		if after := rt.TuningSnapshot(); !reflect.DeepEqual(before, after) {

@@ -90,6 +90,11 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "nrhs must be at least 1, got %d\n", *nrhs)
 		return 1
 	}
+	costs := tune.Coeffs{BarrierNs: *barrierNs, FlagCheckNs: *flagCheckNs, ClaimNs: *claimNs, IterNs: *iterNs}
+	if !costs.Valid() {
+		fmt.Fprintf(stderr, "cost flags must be finite, with -barrier-ns and -flagcheck-ns positive and -claim-ns and -iter-ns non-negative, got %+v\n", costs)
+		return 1
+	}
 
 	doc, g, title, err := build(*kind, buildConfig{
 		n: *n, m: *m, l: *l,
@@ -116,12 +121,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, doc.DOT())
 	default:
-		costs := core.AutoCosts{
-			BarrierNs:   *barrierNs,
-			FlagCheckNs: *flagCheckNs,
-			ClaimNs:     *claimNs,
-			IterNs:      *iterNs,
-		}
 		// A plan document carries the worker count it was built for; the live
 		// kinds build at the requested count.
 		p := *workers
@@ -268,7 +267,7 @@ func snapshotDoc(name string, l *core.Loop, dataLen, workers int) (*export.Doc, 
 }
 
 // report renders the text diagnosis.
-func report(w io.Writer, title string, st core.InspectStats, g *depgraph.Graph, costs core.AutoCosts, workers, nrhs int) {
+func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs tune.Coeffs, workers, nrhs int) {
 	fmt.Fprintf(w, "Dependency structure of %s\n", title)
 	fmt.Fprintf(w, "  iterations        %d\n", st.Iterations)
 	fmt.Fprintf(w, "  dependency edges  %d\n", st.Edges)
@@ -288,8 +287,7 @@ func report(w io.Writer, title string, st core.InspectStats, g *depgraph.Graph, 
 		fmt.Fprintln(w, "  the loop is fully independent: a doall would suffice")
 	}
 
-	tda, twf, tdyn := costs.PredictN(st, workers, nrhs)
-	pick := costs.Choose(st, workers, nrhs)
+	pick, tda, twf, tdyn := costs.Choose(st, workers, nrhs)
 	fmt.Fprintf(w, "\nCost model (%d workers, %d rhs; barrier=%.0f flagCheck=%.0f claim=%.0f iter=%.0f ns):\n",
 		workers, nrhs, costs.BarrierNs, costs.FlagCheckNs, costs.ClaimNs, costs.IterNs)
 	fmt.Fprintf(w, "  doacross          %12.0f ns\n", tda)
@@ -299,7 +297,7 @@ func report(w io.Writer, title string, st core.InspectStats, g *depgraph.Graph, 
 	} else {
 		fmt.Fprintln(w, "  wavefront-dynamic not considered (no claim cost)")
 	}
-	fmt.Fprintf(w, "  auto picks        %s\n", pick)
+	fmt.Fprintf(w, "  auto picks        %s\n", tune.ExecutorName(pick))
 
 	// The tuning forecast replays the runtime's online self-tuning state
 	// machine (machine.SimulateTuning — the exact tune.PlanState a live
@@ -317,12 +315,7 @@ func report(w io.Writer, title string, st core.InspectStats, g *depgraph.Graph, 
 		ClaimNs:     costs.ClaimNs,
 	}
 	const tuningRuns = 32
-	traj := machine.SimulateTuning(truth, start, tune.Stats{
-		Iterations: st.Iterations, Edges: st.Edges, StallWeight: st.StallWeight,
-		Levels: st.Levels, CriticalPathLen: st.CriticalPathLen,
-		ScheduleRounds: st.ScheduleRounds, ReadImbalance: st.ReadImbalance,
-		DynamicClaims: st.DynamicClaims,
-	}, workers, nrhs, tuningRuns, tune.Options{Seed: 1})
+	traj := machine.SimulateTuning(truth, st, workers, nrhs, tuningRuns, tune.Options{InitialCosts: start, Seed: 1})
 	fmt.Fprintf(w, "\nOnline tuning forecast (%d simulated runs, overheads seeded adversarially 10x off):\n", tuningRuns)
 	if traj.ConvergedAt < 0 {
 		fmt.Fprintf(w, "  settles on        never (within %d runs)\n", tuningRuns)
@@ -343,10 +336,9 @@ func report(w io.Writer, title string, st core.InspectStats, g *depgraph.Graph, 
 	// and the default cost-model ratios, so it is deterministic across hosts:
 	// it tells the user how large an edit's dirty cone may grow before
 	// RepairPlans' gate falls back to a cold re-inspection.
-	rc := machine.DefaultRepairCosts
-	breakEven := rc.BreakEvenCone(st.Iterations, st.Edges)
+	breakEven := tune.BreakEvenCone(st.Iterations, st.Edges)
 	fmt.Fprintln(w, "\nIncremental plan repair (cost-model units):")
-	fmt.Fprintf(w, "  cold inspection   %.0f units\n", rc.ColdInspect(st.Iterations, st.Edges))
+	fmt.Fprintf(w, "  cold inspection   %.0f units\n", tune.ColdInspectUnits(st.Iterations, st.Edges))
 	if breakEven >= st.Iterations {
 		// A dense enough graph makes the cold inspection so expensive that
 		// even a whole-loop dirty cone repairs cheaper.

@@ -121,6 +121,11 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-kind", "plan", "-plan", "testdata/nosuch.json"}, 1},                        // unreadable plan
 		{[]string{"-kind", "plan", "-plan", "testdata/chain8.mtx"}, 1},                         // not a plan document
 		{[]string{"-format", "dot"}, 1},                                                        // default N=10000 exceeds the DOT node cap
+		{[]string{"-barrier-ns", "-5"}, 1},
+		{[]string{"-flagcheck-ns", "0"}, 1},
+		{[]string{"-barrier-ns", "NaN"}, 1},
+		{[]string{"-claim-ns", "-3"}, 1},
+		{[]string{"-iter-ns", "Inf"}, 1},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := Main(tc.args, &stdout, &stderr); code != tc.code {

@@ -2,8 +2,9 @@
 // of the paper's evaluation (Section 3), plus the design-choice ablations
 // listed in DESIGN.md. Numbers for the paper's 16-processor Encore Multimax
 // are produced on the deterministic machine simulator (package machine); the
-// live goroutine runtime (package core) is used for correctness validation
-// and host-scale measurements.
+// live goroutine runtime (package core) is used for correctness validation,
+// host-scale measurements, and the inspection behind the tables' Auto
+// column.
 package experiments
 
 import (

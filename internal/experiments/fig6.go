@@ -120,9 +120,10 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 			if err != nil {
 				return Figure6Result{}, err
 			}
-			_, byLevel := g.Levels()
-			st := inspectStatsFromLevels(g, byLevel, cfg.Processors)
-			autoPick := autoPickFromStats(st, Figure6AutoCosts(m), cfg.Processors)
+			pick, err := autoPick(tc.Loop(), cfg.Processors, Figure6AutoCosts(m))
+			if err != nil {
+				return Figure6Result{}, err
+			}
 			res.Points = append(res.Points, Figure6Point{
 				M:                   m,
 				L:                   l,
@@ -137,7 +138,7 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 				WavefrontTPar:       wf.TPar,
 				DynamicEfficiency:   dyn.Efficiency,
 				DynamicTPar:         dyn.TPar,
-				AutoPick:            autoPick,
+				AutoPick:            pick,
 			})
 		}
 	}

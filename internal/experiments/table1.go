@@ -9,9 +9,9 @@ import (
 	"doacross/internal/doconsider"
 	"doacross/internal/machine"
 	"doacross/internal/sched"
-	"doacross/internal/sparse"
 	"doacross/internal/stencil"
 	"doacross/internal/trisolve"
+	"doacross/internal/tune"
 )
 
 // Table1Config describes the Section 3.2 sparse triangular solve experiment.
@@ -159,6 +159,15 @@ func runTable1Row(prob stencil.Problem, cfg Table1Config) (Table1Row, error) {
 		return Table1Row{}, err
 	}
 
+	loop, err := trisolve.Loop(l, make([]float64, l.N))
+	if err != nil {
+		return Table1Row{}, err
+	}
+	pick, err := autoPick(loop, cfg.Processors, TrisolveAutoCosts(l))
+	if err != nil {
+		return Table1Row{}, err
+	}
+
 	return Table1Row{
 		Problem:      prob,
 		Equations:    l.N,
@@ -173,79 +182,27 @@ func runTable1Row(prob stencil.Problem, cfg Table1Config) (Table1Row, error) {
 		WavefrontEff: wavefront.Efficiency,
 		DynamicMs:    SimulatedMs(dynamic.TPar),
 		DynamicEff:   dynamic.Efficiency,
-		AutoPick:     autoPickTrisolve(l, g, byLevel, cfg.Processors),
+		AutoPick:     pick,
 	}, nil
 }
 
-// autoPickTrisolve runs the Auto selection's calibrated cost model on the
-// solve's dependency structure with the simulator-side coefficients,
-// returning the executor it would pick at the given processor count.
-func autoPickTrisolve(l *sparse.Triangular, g *depgraph.Graph, byLevel [][]int, procs int) string {
-	return autoPickFromStats(inspectStatsFromLevels(g, byLevel, procs), TrisolveAutoCosts(l), procs)
-}
-
-// autoPickFromStats mirrors the live runtime's three-way Auto selection on
-// simulator-side statistics and coefficients: a single barrier-free level
-// always pre-schedules statically; otherwise the cheapest predicted strategy
-// wins, with the dynamic considered only when Predict prices it (non-zero
-// ClaimNs).
-func autoPickFromStats(st doacross.InspectStats, costs doacross.AutoCosts, procs int) string {
-	if st.Levels <= 1 {
-		return machine.ModelWavefront.String()
+// autoPick returns the executor the Auto selection picks for l at the
+// simulated processor count, exactly as an Auto run decides: a live runtime
+// configured like the simulated machine (procs workers, cyclic static
+// assignment, the simulator's chunk size) inspects the loop, and Choose
+// prices the inspection statistics with the simulator-side coefficients.
+func autoPick(l *doacross.Loop, procs int, costs doacross.AutoCosts) (string, error) {
+	rt, err := doacross.New(l.Data, doacross.WithWorkers(procs), doacross.WithPolicy(doacross.Cyclic), doacross.WithChunk(wfChunk))
+	if err != nil {
+		return "", err
 	}
-	tda, twf, tdyn := costs.Predict(st, procs)
-	pick, best := machine.ModelDoacross, tda
-	if twf < best {
-		pick, best = machine.ModelWavefront, twf
+	defer rt.Close()
+	st, err := rt.Inspect(l)
+	if err != nil {
+		return "", err
 	}
-	if tdyn > 0 && tdyn < best {
-		pick = machine.ModelWavefrontDynamic
-	}
-	return pick.String()
-}
-
-// inspectStatsFromLevels builds the Auto cost model's input from a
-// simulator-side level decomposition, mirroring what the live inspector
-// reports: schedule rounds, dynamic claim counts and the static schedule's
-// read imbalance are summed over levels with the worker count clamped to the
-// widest level, exactly like the live wavefront plan. The static assignment
-// is replayed cyclically (the policy the simulated experiments run) and
-// in-degree stands in for an iteration's read count, as in the live
-// inspector.
-func inspectStatsFromLevels(g *depgraph.Graph, byLevel [][]int, procs int) doacross.InspectStats {
-	maxWidth := 0
-	for _, lvl := range byLevel {
-		if len(lvl) > maxWidth {
-			maxWidth = len(lvl)
-		}
-	}
-	p := procs
-	if p > maxWidth {
-		p = maxWidth
-	}
-	if p < 1 {
-		p = 1
-	}
-	st := doacross.InspectStats{
-		Iterations:      g.N,
-		Edges:           g.Edges,
-		Levels:          len(byLevel),
-		MaxLevelWidth:   maxWidth,
-		CriticalPathLen: len(byLevel),
-	}
-	if st.Levels > 0 {
-		st.MeanLevelWidth = float64(g.N) / float64(st.Levels)
-	}
-	for _, lvl := range byLevel {
-		lvl := lvl
-		st.ScheduleRounds += (len(lvl) + p - 1) / p
-		st.DynamicClaims += sched.DynamicClaims(len(lvl), wfChunk, p)
-		st.ReadImbalance += float64(sched.LevelImbalance(len(lvl), sched.Cyclic, p, func(k int) int {
-			return len(g.Preds[lvl[k]])
-		}))
-	}
-	st.StallWeight = g.StallWeight(procs)
-	return st
+	pick, _, _, _ := costs.Choose(st, procs, 1)
+	return tune.ExecutorName(pick), nil
 }
 
 // Format renders the rows in the layout of the paper's Table 1, with the

@@ -43,7 +43,7 @@ func MultiRHSCost(cm CostModel, nrhs int) CostModel {
 // per-solve cost the serving experiment measures as throughput. As nrhs
 // grows the fixed synchronization terms amortize across the block, which is
 // why the executor pick can flip between the scalar and the blocked run
-// (the live counterpart is core.AutoCosts.PredictN).
+// (the live counterpart is tune.Coeffs.PredictN).
 func SimulateMultiRHS(g *depgraph.Graph, nrhs int, model ExecModel, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
 	if nrhs < 1 {
 		return Result{}, fmt.Errorf("machine: need at least one right-hand side, got %d", nrhs)

@@ -35,14 +35,7 @@ func (t TuningTruth) observed(arm int) float64 {
 // — the pick a converged tuner must settle on. The dynamic arm competes only
 // when DynamicNs is positive.
 func (t TuningTruth) BestArm() int {
-	best, bestNs := tune.Doacross, t.DoacrossNs
-	if t.WavefrontNs < bestNs {
-		best, bestNs = tune.Wavefront, t.WavefrontNs
-	}
-	if t.DynamicNs > 0 && t.DynamicNs < bestNs {
-		best = tune.WavefrontDynamic
-	}
-	return best
+	return tune.Best([tune.NumExecutors]float64{t.DoacrossNs, t.WavefrontNs, t.DynamicNs}, t.DynamicNs > 0)
 }
 
 // TuningStep records one simulated tuned run: the decision, what the model
@@ -85,13 +78,15 @@ type TuningTrajectory struct {
 // must flip to the truth's best executor and stay, with the predicted time
 // of whatever runs converging onto its truth.
 //
-// start seeds the coefficients (the live TuningOptions.InitialCosts); st,
+// o.InitialCosts seeds the coefficients, as it does for a live tuner (there
+// is no probe here: a zero seed stays zero up to the tuner's floors); st,
 // workers and nrhs describe the plan shape being tuned. When the truth
 // carries no dynamic time the seed's claim coefficient is zeroed so the
 // model excludes the dynamic arm, as a live cost model without a claim
 // coefficient does.
-func SimulateTuning(truth TuningTruth, start tune.Coeffs, st tune.Stats, workers, nrhs, runs int, o tune.Options) TuningTrajectory {
+func SimulateTuning(truth TuningTruth, st tune.Stats, workers, nrhs, runs int, o tune.Options) TuningTrajectory {
 	o = o.WithDefaults()
+	start := o.InitialCosts
 	if truth.DynamicNs <= 0 {
 		start.ClaimNs = 0
 	}
@@ -103,16 +98,10 @@ func SimulateTuning(truth TuningTruth, start tune.Coeffs, st tune.Stats, workers
 	}
 	for r := 0; r < runs; r++ {
 		pick, explored := ps.Decide(st, workers, nrhs, o, rng)
-		tDa, tWf, tDyn := tune.Predict(ps.Coeffs, st, workers, nrhs)
-		pred := tDa
-		switch pick {
-		case tune.Wavefront:
-			pred = tWf
-		case tune.WavefrontDynamic:
-			pred = tDyn
-		}
+		tDa, tWf, tDyn := ps.Coeffs.PredictN(st, workers, nrhs)
+		pred := [tune.NumExecutors]float64{tDa, tWf, tDyn}[pick]
 		obs := truth.observed(pick)
-		ps.Observe(pick, st, workers, nrhs, obs, o)
+		ps.Observe(pick, st, workers, nrhs, obs)
 		traj.Steps = append(traj.Steps, TuningStep{
 			Run:         r,
 			Pick:        pick,

@@ -60,10 +60,10 @@ func TestSimulateTuningMatchesManualReplay(t *testing.T) {
 		ScheduleRounds: 130, DynamicClaims: 300}
 	start := tune.Coeffs{BarrierNs: 900, FlagCheckNs: 45, ClaimNs: 20, IterNs: 150}
 	truth := TuningTruth{DoacrossNs: 400_000, WavefrontNs: 150_000, DynamicNs: 180_000}
-	o := tune.Options{Seed: 42}
+	o := tune.Options{InitialCosts: start, Seed: 42}
 	const workers, nrhs, runs = 4, 1, 48
 
-	traj := SimulateTuning(truth, start, st, workers, nrhs, runs, o)
+	traj := SimulateTuning(truth, st, workers, nrhs, runs, o)
 
 	od := o.WithDefaults()
 	rng := tune.NewRNG(od.Seed)
@@ -83,7 +83,7 @@ func TestSimulateTuningMatchesManualReplay(t *testing.T) {
 		default:
 			obs = truth.DoacrossNs
 		}
-		ps.Observe(pick, st, workers, nrhs, obs, od)
+		ps.Observe(pick, st, workers, nrhs, obs)
 	}
 	if !reflect.DeepEqual(traj.Final, ps) {
 		t.Fatalf("final state diverged:\nsimulator %+v\nmanual    %+v", traj.Final, ps)
@@ -102,10 +102,10 @@ func TestSimulateTuningConvergesFromWrongSeed(t *testing.T) {
 	start := tune.Coeffs{BarrierNs: 0.01, FlagCheckNs: 5000, IterNs: 100}
 	truth := TuningTruth{DoacrossNs: 50_000, WavefrontNs: 2_000_000}
 	const runs = 32
-	if tDa, tWf, _ := tune.Predict(tune.Sanitize(start), st, 4, 1); tWf >= tDa {
+	if tDa, tWf, _ := tune.Sanitize(start).PredictN(st, 4, 1); tWf >= tDa {
 		t.Fatalf("seed coefficients do not mislead the model: doacross %v <= wavefront %v", tDa, tWf)
 	}
-	traj := SimulateTuning(truth, start, st, 4, 1, runs, tune.Options{Seed: 3})
+	traj := SimulateTuning(truth, st, 4, 1, runs, tune.Options{InitialCosts: start, Seed: 3})
 	if best := truth.BestArm(); best != tune.Doacross {
 		t.Fatalf("truth's best arm = %d, want doacross", best)
 	}
@@ -130,7 +130,7 @@ func TestSimulateTuningExcludesDynamicWithoutTruth(t *testing.T) {
 		ScheduleRounds: 64, DynamicClaims: 100}
 	start := tune.Coeffs{BarrierNs: 500, FlagCheckNs: 40, ClaimNs: 1e-9, IterNs: 100}
 	truth := TuningTruth{DoacrossNs: 300_000, WavefrontNs: 120_000}
-	traj := SimulateTuning(truth, start, st, 4, 1, 40, tune.Options{Seed: 9})
+	traj := SimulateTuning(truth, st, 4, 1, 40, tune.Options{InitialCosts: start, Seed: 9})
 	for _, s := range traj.Steps {
 		if s.Pick == tune.WavefrontDynamic {
 			t.Fatalf("run %d picked the unavailable dynamic arm", s.Run)
@@ -158,7 +158,7 @@ func TestSimulateTuningPropertyRandomDAGs(t *testing.T) {
 
 		trueIter := 100 + 4900*rng.Float64()
 		trueCoeffs := tune.Coeffs{BarrierNs: 200, FlagCheckNs: 20, ClaimNs: 15, IterNs: trueIter}
-		tDa, tWf, tDyn := tune.Predict(trueCoeffs, st, workers, nrhs)
+		tDa, tWf, tDyn := trueCoeffs.PredictN(st, workers, nrhs)
 		truth := TuningTruth{DoacrossNs: tDa, WavefrontNs: tWf, DynamicNs: tDyn}
 
 		// The seed knows the overheads but not the body weight — the common
@@ -167,8 +167,8 @@ func TestSimulateTuningPropertyRandomDAGs(t *testing.T) {
 		start := trueCoeffs
 		start.IterNs = 0
 		const runs = 40
-		o := tune.Options{Seed: uint64(trial + 1)}
-		traj := SimulateTuning(truth, start, st, workers, nrhs, runs, o)
+		o := tune.Options{InitialCosts: start, Seed: uint64(trial + 1)}
+		traj := SimulateTuning(truth, st, workers, nrhs, runs, o)
 
 		var lastErr [tune.NumExecutors]float64
 		var seen [tune.NumExecutors]bool
@@ -184,7 +184,7 @@ func TestSimulateTuningPropertyRandomDAGs(t *testing.T) {
 			t.Errorf("trial %d: final IterNs = %v, want within 20%% of %v (n=%d workers=%d)",
 				trial, got, trueIter, n, workers)
 		}
-		if rerun := SimulateTuning(truth, start, st, workers, nrhs, runs, o); !reflect.DeepEqual(traj, rerun) {
+		if rerun := SimulateTuning(truth, st, workers, nrhs, runs, o); !reflect.DeepEqual(traj, rerun) {
 			t.Fatalf("trial %d: trajectory is not deterministic", trial)
 		}
 	}

@@ -55,11 +55,11 @@ func TestSanitizeFloorsAndFinite(t *testing.T) {
 
 func TestPredictExcludesDynamicWithoutClaimCost(t *testing.T) {
 	st := wideStats(1024, 8, 4)
-	_, _, dyn := Predict(Coeffs{BarrierNs: 100, FlagCheckNs: 5}, st, 4, 1)
+	_, _, dyn := Coeffs{BarrierNs: 100, FlagCheckNs: 5}.PredictN(st, 4, 1)
 	if dyn != 0 {
 		t.Fatalf("dynamic considered without a claim coefficient: %g", dyn)
 	}
-	_, _, dyn = Predict(Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25}, st, 4, 1)
+	_, _, dyn = Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25}.PredictN(st, 4, 1)
 	if dyn <= 0 {
 		t.Fatalf("dynamic excluded despite a claim coefficient")
 	}
@@ -70,7 +70,7 @@ func TestPredictExcludesDynamicWithoutClaimCost(t *testing.T) {
 func TestObserveFirstSampleInitializes(t *testing.T) {
 	s := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25})
 	st := chainStats(256, 4)
-	s.Observe(Doacross, st, 4, 1, 5e5, Options{})
+	s.Observe(Doacross, st, 4, 1, 5e5)
 	if s.ObsNs[Doacross] != 5e5 || s.Obs[Doacross] != 1 || s.Runs != 1 {
 		t.Fatalf("first sample not initialized: %+v", s)
 	}
@@ -78,16 +78,16 @@ func TestObserveFirstSampleInitializes(t *testing.T) {
 
 // TestObserveCapsOutlierSample: one sample far above an arm's average — a
 // run the host descheduled for a scheduler tick — lifts the average by at
-// most Alpha*(maxSampleRatio-1) and does not flip a greedy decision over a
+// most DefaultAlpha*(maxSampleRatio-1) and does not flip a greedy decision over a
 // runner-up 20% behind, while a sustained slowdown still overtakes it.
 func TestObserveCapsOutlierSample(t *testing.T) {
 	st := chainStats(256, 4)
 	o := Options{Epsilon: -1}
 	s := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25})
-	s.Observe(Doacross, st, 4, 1, 300e3, o)
-	s.Observe(Wavefront, st, 4, 1, 360e3, o)
-	s.Observe(WavefrontDynamic, st, 4, 1, 400e3, o)
-	s.Observe(Doacross, st, 4, 1, 4.3e6, o)
+	s.Observe(Doacross, st, 4, 1, 300e3)
+	s.Observe(Wavefront, st, 4, 1, 360e3)
+	s.Observe(WavefrontDynamic, st, 4, 1, 400e3)
+	s.Observe(Doacross, st, 4, 1, 4.3e6)
 	if want := 300e3 * (1 + DefaultAlpha*(maxSampleRatio-1)); s.ObsNs[Doacross] != want {
 		t.Fatalf("average after one outlier = %g, want %g", s.ObsNs[Doacross], want)
 	}
@@ -95,7 +95,7 @@ func TestObserveCapsOutlierSample(t *testing.T) {
 		t.Fatalf("one outlier flipped the greedy pick to %s", ExecutorName(pick))
 	}
 	for k := 1; ; k++ {
-		s.Observe(Doacross, st, 4, 1, 3e6, o)
+		s.Observe(Doacross, st, 4, 1, 3e6)
 		if pick, _ := s.Decide(st, 4, 1, o, nil); pick != Doacross {
 			break
 		}
@@ -107,8 +107,8 @@ func TestObserveCapsOutlierSample(t *testing.T) {
 	// A zero first sample leaves no average to cap against: later samples
 	// are absorbed whole rather than pinned at zero.
 	z := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5})
-	z.Observe(Wavefront, st, 4, 1, 0, o)
-	z.Observe(Wavefront, st, 4, 1, 1000, o)
+	z.Observe(Wavefront, st, 4, 1, 0)
+	z.Observe(Wavefront, st, 4, 1, 1000)
 	if got := z.ObsNs[Wavefront]; got != DefaultAlpha*1000 {
 		t.Fatalf("average after a zero first sample = %g, want %g", got, DefaultAlpha*1000)
 	}
@@ -123,12 +123,12 @@ func TestCalibrateRecoversInjectedIterNs(t *testing.T) {
 	truthC := base
 	truthC.IterNs = trueIter
 	for _, st := range []Stats{chainStats(512, 4), wideStats(2048, 16, 4)} {
-		tda, twf, tdyn := Predict(truthC, st, 4, 1)
+		tda, twf, tdyn := truthC.PredictN(st, 4, 1)
 		truth := [NumExecutors]float64{tda, twf, tdyn}
 		for arm := 0; arm < NumExecutors; arm++ {
 			s := NewPlanState(base)
 			for k := 0; k < 40; k++ {
-				s.Observe(arm, st, 4, 1, truth[arm], Options{})
+				s.Observe(arm, st, 4, 1, truth[arm])
 			}
 			got := s.Coeffs.IterNs
 			if math.Abs(got-trueIter) > 0.05*trueIter {
@@ -146,10 +146,10 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	// Grossly overpriced flag checks: the doacross observation is far below
 	// the overhead-only prediction.
 	s := NewPlanState(Coeffs{BarrierNs: 10, FlagCheckNs: 5000, ClaimNs: 30})
-	tda, _, _ := Predict(s.Coeffs, st, 4, 1)
+	tda, _, _ := s.Coeffs.PredictN(st, 4, 1)
 	obs := tda / 100
 	for k := 0; k < 30; k++ {
-		s.Observe(Doacross, st, 4, 1, obs, Options{})
+		s.Observe(Doacross, st, 4, 1, obs)
 	}
 	if s.Coeffs.FlagCheckNs >= 5000*0.1 {
 		t.Fatalf("FlagCheckNs not corrected downward: %.1f", s.Coeffs.FlagCheckNs)
@@ -157,7 +157,7 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	if s.Coeffs.IterNs != 0 {
 		t.Fatalf("IterNs not held at zero in the overhead regime: %g", s.Coeffs.IterNs)
 	}
-	got, _, _ := Predict(s.Coeffs, st, 4, 1)
+	got, _, _ := s.Coeffs.PredictN(st, 4, 1)
 	if math.Abs(got-obs) > 0.05*obs {
 		t.Fatalf("tuned doacross prediction %.1f, want within 5%% of %.1f", got, obs)
 	}
@@ -165,10 +165,10 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	// Grossly overpriced barriers: the wavefront observation corrects
 	// BarrierNs.
 	s = NewPlanState(Coeffs{BarrierNs: 1e6, FlagCheckNs: 5, ClaimNs: 30})
-	_, twf, _ := Predict(s.Coeffs, st, 4, 1)
+	_, twf, _ := s.Coeffs.PredictN(st, 4, 1)
 	obs = twf / 1000
 	for k := 0; k < 40; k++ {
-		s.Observe(Wavefront, st, 4, 1, obs, Options{})
+		s.Observe(Wavefront, st, 4, 1, obs)
 	}
 	if s.Coeffs.BarrierNs >= 1e6*0.01 {
 		t.Fatalf("BarrierNs not corrected downward: %.1f", s.Coeffs.BarrierNs)
@@ -188,8 +188,8 @@ func TestDecideGreedyPrefersMeasuredOverModel(t *testing.T) {
 	}
 	// Reality: the wavefront measures far slower than the doacross's model
 	// estimate once observed.
-	tda, _, _ := Predict(s.Coeffs, st, 4, 1)
-	s.Observe(Wavefront, st, 4, 1, 10*tda, Options{})
+	tda, _, _ := s.Coeffs.PredictN(st, 4, 1)
+	s.Observe(Wavefront, st, 4, 1, 10*tda)
 	pick, _ = s.Decide(st, 4, 1, Options{Epsilon: -1}, nil)
 	if pick != Doacross {
 		t.Fatalf("post-observation pick = %s, want doacross", ExecutorName(pick))
@@ -208,7 +208,7 @@ func TestDecideExplorationIsDeterministic(t *testing.T) {
 		for k := 0; k < 64; k++ {
 			pick, _ := s.Decide(st, 4, 1, Options{Epsilon: 0.25, Seed: 7}, rng)
 			picks = append(picks, pick)
-			s.Observe(pick, st, 4, 1, 1e4+float64(pick)*1e3, Options{})
+			s.Observe(pick, st, 4, 1, 1e4+float64(pick)*1e3)
 		}
 		return picks
 	}
@@ -317,9 +317,9 @@ func FuzzTunerUpdate(f *testing.F) {
 			case 2:
 				obs = -obs
 			}
-			s.Observe(pick, st, int(seed%9), 1+int(seed%5), obs, opts)
+			s.Observe(pick, st, int(seed%9), 1+int(seed%5), obs)
 			// Also hammer arms the bandit did not pick.
-			s.Observe(int(rng.Uint64()%5)-1, st, 3, 1, baseObs/(float64(k)+0.5), opts)
+			s.Observe(int(rng.Uint64()%5)-1, st, 3, 1, baseObs/(float64(k)+0.5))
 			coeffsOK(t, &s)
 		}
 	})

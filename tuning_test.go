@@ -8,6 +8,7 @@ package doacross_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -198,13 +199,8 @@ func TestOnlineTuningConvergesOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := machine.TuningTruth{DoacrossNs: p.Doacross.EMANs, WavefrontNs: p.Wavefront.EMANs}
-	traj := machine.SimulateTuning(truth, tune.Coeffs(misledToward(worstName)),
-		tune.Stats{
-			Iterations: st.Iterations, Edges: st.Edges, StallWeight: st.StallWeight,
-			Levels: st.Levels, CriticalPathLen: st.CriticalPathLen,
-			ScheduleRounds: st.ScheduleRounds, ReadImbalance: st.ReadImbalance,
-			DynamicClaims: st.DynamicClaims,
-		}, workers, 1, runs, tune.Options{Seed: 5})
+	traj := machine.SimulateTuning(truth, st, workers, 1, runs,
+		tune.Options{InitialCosts: misledToward(worstName), Seed: 5})
 	wantArm := tune.Doacross
 	if bestName == "wavefront" {
 		wantArm = tune.Wavefront
@@ -490,14 +486,14 @@ func TestOnlineTuningFrozenByAutoCosts(t *testing.T) {
 // TestWithOnlineTuningValidation checks the option's argument contract.
 func TestWithOnlineTuningValidation(t *testing.T) {
 	bad := []doacross.TuningOptions{
-		{Alpha: 1.5},
-		{Alpha: -0.1},
-		{Blend: 2},
-		{Blend: -1},
 		{Epsilon: 1.5},
 		{InitialCosts: doacross.AutoCosts{BarrierNs: -1, FlagCheckNs: 5}},
 		{InitialCosts: doacross.AutoCosts{BarrierNs: 100}}, // missing flag cost
 		{InitialCosts: doacross.AutoCosts{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: -2}},
+		{InitialCosts: doacross.AutoCosts{BarrierNs: math.NaN(), FlagCheckNs: 5}},
+		{InitialCosts: doacross.AutoCosts{BarrierNs: math.Inf(1), FlagCheckNs: 5}},
+		{InitialCosts: doacross.AutoCosts{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: math.NaN()}},
+		{InitialCosts: doacross.AutoCosts{BarrierNs: 100, FlagCheckNs: 5, IterNs: math.Inf(1)}},
 	}
 	for i, o := range bad {
 		if _, err := doacross.New(8, doacross.WithOnlineTuning(o)); err == nil {
