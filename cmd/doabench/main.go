@@ -250,6 +250,13 @@ func main() {
 			}
 			results = append(results, r)
 		}
+		// The row of the scaling claim -check verifies: a fixed loop, worker
+		// count and repetition count, whatever the flags say.
+		scaling, err := experiments.RunLiveScaling()
+		if err != nil {
+			return "", nil, err
+		}
+		results = append(results, scaling)
 		for _, prob := range []stencil.Problem{stencil.FivePoint, stencil.SevenPoint} {
 			for _, variant := range experiments.TrisolveVariants {
 				r, err := experiments.RunLiveTrisolve(prob, workers, *liveReps, variant)
@@ -267,7 +274,7 @@ func main() {
 		}
 		results = append(results, r)
 		benchRecords = append(benchRecords, experiments.LiveBenchRecords(results)...)
-		return experiments.FormatLive(results), nil, nil
+		return experiments.FormatLive(results), experiments.CheckLive(results, scaling), nil
 	})
 
 	run("serving", func() (string, []string, error) {

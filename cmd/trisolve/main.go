@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,26 +32,37 @@ func problemByName(name string) (stencil.Problem, error) {
 	return 0, fmt.Errorf("unknown problem %q (choose from SPE2, SPE5, 5-PT, 7-PT, 9-PT)", name)
 }
 
-var solverKinds = map[string]doacross.SolverKind{
-	"sequential":                 doacross.SolverSequential,
-	"doacross":                   doacross.SolverDoacross,
-	"doacross-reordered":         doacross.SolverReordered,
-	"doacross-linear":            doacross.SolverLinear,
-	"level-scheduled":            doacross.SolverLevelScheduled,
-	"doacross-wavefront":         doacross.SolverWavefront,
-	"doacross-wavefront-dynamic": doacross.SolverWavefrontDynamic,
+// solverKinds lists the solvers the CLI runs, in output order; each one's
+// -solver name is its SolverKind.String.
+var solverKinds = []doacross.SolverKind{
+	doacross.SolverSequential,
+	doacross.SolverDoacross,
+	doacross.SolverReordered,
+	doacross.SolverLinear,
+	doacross.SolverWavefront,
+	doacross.SolverWavefrontDynamic,
 }
 
 func main() {
+	var names []string
+	for _, kind := range solverKinds {
+		names = append(names, kind.String())
+	}
 	var (
 		problem   = flag.String("problem", "5-PT", "test system: SPE2, SPE5, 5-PT, 7-PT or 9-PT")
 		workers   = flag.Int("workers", 4, "number of workers for the parallel solvers")
-		solver    = flag.String("solver", "all", "sequential | doacross | doacross-reordered | doacross-linear | level-scheduled | doacross-wavefront | doacross-wavefront-dynamic | all")
+		solver    = flag.String("solver", "all", strings.Join(names, " | ")+" | all")
 		repeat    = flag.Int("repeat", 3, "timing repetitions (best is reported)")
 		seed      = flag.Int64("seed", 1, "seed for the synthetic SPE operators")
 		showTrace = flag.Bool("trace", false, "print a per-worker execution trace summary of the doacross solve")
 	)
 	flag.Parse()
+	if *solver != "all" && !slices.Contains(names, *solver) {
+		// An unknown solver name would fall through the solve loop and
+		// silently solve nothing; reject it with the valid set instead.
+		fmt.Fprintf(os.Stderr, "unknown solver %q (valid: %s, all)\n", *solver, strings.Join(names, ", "))
+		os.Exit(1)
+	}
 
 	prob, err := problemByName(*problem)
 	if err != nil {
@@ -77,20 +89,13 @@ func main() {
 		doacross.WithWaitStrategy(doacross.WaitSpinYield),
 	}
 
-	names := []string{"sequential", "doacross", "doacross-reordered", "doacross-linear", "level-scheduled", "doacross-wavefront", "doacross-wavefront-dynamic"}
-	if _, ok := solverKinds[*solver]; !ok && *solver != "all" {
-		// An unknown solver name used to fall through the loop below and
-		// silently solve nothing; reject it with the valid set instead.
-		fmt.Fprintf(os.Stderr, "unknown solver %q (valid: %s, all)\n", *solver, strings.Join(names, ", "))
-		os.Exit(1)
-	}
 	fmt.Printf("%-20s %12s %10s %10s  %s\n", "solver", "time", "speedup", "eff", "check")
 	var seqTime time.Duration
-	for _, name := range names {
+	for _, kind := range solverKinds {
+		name := kind.String()
 		if *solver != "all" && *solver != name {
 			continue
 		}
-		kind := solverKinds[name]
 		var out []float64
 		sample := trace.Measure(*repeat, func() {
 			var solveErr error
@@ -101,7 +106,7 @@ func main() {
 			}
 		})
 		best := sample.Min()
-		if name == "sequential" {
+		if kind == doacross.SolverSequential {
 			seqTime = best
 		}
 		check := "ok"
@@ -109,7 +114,7 @@ func main() {
 			check = fmt.Sprintf("MISMATCH %.2e", d)
 		}
 		speedup, eff := 0.0, 0.0
-		if seqTime > 0 && name != "sequential" {
+		if seqTime > 0 && kind != doacross.SolverSequential {
 			speedup = trace.Speedup(seqTime, best)
 			eff = trace.Efficiency(seqTime, best, *workers)
 		}

@@ -3,11 +3,11 @@
 // This example builds the 5-PT test problem (63x63 five point discretization,
 // 3969 equations), factors it with ILU(0), and solves the unit lower
 // triangular system L y = b four ways: sequentially, with the plain
-// preprocessed doacross, with the doconsider-reordered doacross, and with a
-// level-scheduled wavefront baseline. All parallel results are verified
-// against the sequential substitution, and the simulated 16-processor
-// efficiencies corresponding to the paper's Table 1 row are printed
-// alongside.
+// preprocessed doacross, with the doconsider-reordered doacross, and with the
+// runtime's wavefront executor, which runs the inspected level sets from a
+// cached plan. All parallel results are verified against the sequential
+// substitution, and the simulated 16-processor efficiencies corresponding to
+// the paper's Table 1 row are printed alongside.
 //
 // Run with:
 //
@@ -49,7 +49,7 @@ func main() {
 	seqSample := trace.Measure(5, func() { doacross.SolveSequential(l, rhs) })
 	fmt.Printf("%-22s %12v\n", "sequential", seqSample.Min())
 
-	kinds := []doacross.SolverKind{doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverLevelScheduled}
+	kinds := []doacross.SolverKind{doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverWavefront}
 	for _, kind := range kinds {
 		var out []float64
 		sample := trace.Measure(5, func() {

@@ -270,22 +270,6 @@ func TestWritesPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestUpperFactorUnsupportedKinds checks that asking an upper factor for an
-// executor that only exists for forward substitution fails loudly instead of
-// silently running a different algorithm.
-func TestUpperFactorUnsupportedKinds(t *testing.T) {
-	upper := &doacross.Triangular{N: 2, Lower: false, UnitDiag: true, RowPtr: []int{0, 0, 0}}
-	rhs := []float64{1, 1}
-	for _, kind := range []doacross.SolverKind{doacross.SolverLinear, doacross.SolverLevelScheduled} {
-		if _, _, err := doacross.SolveTriangular(kind, upper, rhs); err == nil || !strings.Contains(err.Error(), "not supported") {
-			t.Errorf("%v on an upper factor: got %v, want an unsupported-executor error", kind, err)
-		}
-	}
-	if _, _, err := doacross.SolveTriangular(doacross.SolverDoacross, upper, rhs, doacross.WithWorkers(2)); err != nil {
-		t.Errorf("SolverDoacross on an upper factor failed: %v", err)
-	}
-}
-
 // TestSequentialShortData checks RunSequential's up-front length validation.
 func TestSequentialShortData(t *testing.T) {
 	loop := chainLoop(16)

@@ -48,7 +48,7 @@ func TestIntegrationAllProblemsAllSolvers(t *testing.T) {
 			rhs := stencil.RHS(l.N, 99)
 			want := doacross.SolveSequential(l, rhs)
 			for _, kind := range []doacross.SolverKind{
-				doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverLinear, doacross.SolverLevelScheduled,
+				doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverLinear, doacross.SolverWavefront,
 			} {
 				got, _, err := doacross.SolveTriangular(kind, l, rhs, solverOptions(4)...)
 				if err != nil {

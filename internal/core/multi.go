@@ -234,7 +234,9 @@ func (rt *Runtime) checkRunMultiArgs(l *Loop, ys [][]float64) error {
 // flip between a single-RHS run and a wide block of the same loop (see
 // AutoCosts.PredictN). Cancellation and failure behave as in RunContext; the
 // contents of ys are unspecified after a failed run. The report aggregates the
-// per-block phase times and counters, and records the column count in NRHS.
+// per-block phase times and counters, reports a plan repair the call's first
+// block consumed (PlanRepaired and RepairNs, as RunContext does), and records
+// the column count in NRHS.
 func (rt *Runtime) RunMulti(ctx context.Context, l *Loop, ys [][]float64) (Report, error) {
 	if err := rt.checkRunMultiArgs(l, ys); err != nil {
 		return Report{}, err
@@ -293,6 +295,8 @@ func (rt *Runtime) RunMulti(ctx context.Context, l *Loop, ys [][]float64) (Repor
 		rep.PredictedDynamicNs = blockRep.PredictedDynamicNs
 		rep.TunedCosts = blockRep.TunedCosts
 		rep.Explored = rep.Explored || blockRep.Explored
+		rep.PlanRepaired = rep.PlanRepaired || blockRep.PlanRepaired
+		rep.RepairNs += blockRep.RepairNs
 	}
 	rt.recordRun(rep.Executor, time.Since(callStart), nil)
 	return rep, nil
@@ -312,6 +316,7 @@ func (rt *Runtime) runMultiBlock(ctx context.Context, l *Loop, ys [][]float64, c
 	}
 	selTime := time.Since(selStart)
 	rep.Executor = ex.name()
+	rt.stampRepair(l, &rep)
 	if err := ctx.Err(); err != nil {
 		// Cancelled before anything executed: like RunContext's pre-execution
 		// check, not counted as a run (Executor stays empty in the report).

@@ -552,11 +552,7 @@ func (rt *Runtime) RunContext(ctx context.Context, l *Loop, y []float64) (Report
 	}
 	selTime := time.Since(selStart)
 	rep.Executor = ex.name()
-	if rt.pendingRepairLoop == l {
-		rep.PlanRepaired = true
-		rep.RepairNs = rt.pendingRepairNs
-		rt.pendingRepairLoop, rt.pendingRepairNs = nil, 0
-	}
+	rt.stampRepair(l, &rep)
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -574,6 +570,18 @@ func (rt *Runtime) RunContext(ctx context.Context, l *Loop, y []float64) (Report
 	rt.observeTuning(&rep)
 	rt.recordRun(rep.Executor, time.Since(selStart), nil)
 	return rep, nil
+}
+
+// stampRepair moves a RepairPlans result pending for l onto the report of
+// l's run, once its executor is resolved. RunContext and every RunMulti block
+// call it, so the first run after a repair reports it whichever entry point
+// that run takes.
+func (rt *Runtime) stampRepair(l *Loop, rep *Report) {
+	if rt.pendingRepairLoop == l {
+		rep.PlanRepaired = true
+		rep.RepairNs = rt.pendingRepairNs
+		rt.pendingRepairLoop, rt.pendingRepairNs = nil, 0
+	}
 }
 
 // sumCounters totals the per-worker dependency counters of one execution.

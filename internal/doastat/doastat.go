@@ -202,28 +202,17 @@ func build(kind string, c buildConfig) (*export.Doc, *depgraph.Graph, string, er
 		if a.Rows != a.Cols {
 			return nil, nil, "", fmt.Errorf("matrix is %dx%d; a triangular solve needs a square matrix", a.Rows, a.Cols)
 		}
-		var (
-			t     *sparse.Triangular
-			loop  *core.Loop
-			g     *depgraph.Graph
-			sweep string
-		)
+		var t *sparse.Triangular
+		sweep := "forward"
 		switch c.tri {
 		case "lower":
 			t = sparse.LowerTriangle(a)
-			if loop, err = trisolve.Loop(t, make([]float64, t.N)); err == nil {
-				g = trisolve.Graph(t)
-			}
-			sweep = "forward"
 		case "upper":
-			t = sparse.UpperTriangle(a)
-			if loop, err = trisolve.UpperLoop(t, make([]float64, t.N)); err == nil {
-				g = trisolve.UpperGraph(t)
-			}
-			sweep = "backward"
+			t, sweep = sparse.UpperTriangle(a), "backward"
 		default:
 			return nil, nil, "", fmt.Errorf("unknown triangle %q (lower or upper)", c.tri)
 		}
+		loop, err := trisolve.Loop(t, make([]float64, t.N))
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -233,7 +222,7 @@ func build(kind string, c buildConfig) (*export.Doc, *depgraph.Graph, string, er
 		if err != nil {
 			return nil, nil, "", err
 		}
-		return doc, g, title, nil
+		return doc, trisolve.Graph(t), title, nil
 	case "plan":
 		if c.plan == "" {
 			return nil, nil, "", fmt.Errorf("-kind plan requires -plan <file.json>")

@@ -112,6 +112,41 @@ func RunLiveTestLoop(tc testloop.Config, workers, repeat int) (LiveResult, error
 	return res, nil
 }
 
+// liveScalingLoop is the loop of the live experiment's scaling claim: the
+// dependency-free Figure 4 loop with per-term synthetic work restoring the
+// paper's work-to-overhead regime (a Multimax iteration cost microseconds).
+var liveScalingLoop = testloop.Config{N: 20000, M: 5, L: 1, WorkPerTerm: 400}
+
+// minLiveScaling is the speedup the scaling row must reach on two workers.
+// It is deliberately lenient (ideal is 2.0).
+const minLiveScaling = 1.2
+
+// RunLiveScaling measures the row of the live experiment's scaling claim:
+// the heavy-body dependency-free Figure 4 loop on two workers, best of three
+// runs. CheckLive bounds its speedup.
+func RunLiveScaling() (LiveResult, error) {
+	return RunLiveTestLoop(liveScalingLoop, 2, 3)
+}
+
+// CheckLive verifies the live experiment's claims: every row reproduces its
+// sequential result, and the scaling row (see RunLiveScaling) shows real
+// parallel speedup, at least 1.2 on two workers. The speedup is a host-timing
+// claim, which is why it lives here and not in go test; a host with fewer
+// than two hardware threads cannot show it, so the bound is skipped there.
+func CheckLive(results []LiveResult, scaling LiveResult) []string {
+	var problems []string
+	for _, r := range results {
+		if r.Checks != "results match" {
+			problems = append(problems, fmt.Sprintf("%s P=%d: %s", r.Name, r.Workers, r.Checks))
+		}
+	}
+	if DefaultLiveWorkers() >= 2 && scaling.Speedup < minLiveScaling {
+		problems = append(problems, fmt.Sprintf("%s P=%d: live doacross speedup %.2f below %.1f (Tseq=%v Tpar=%v)",
+			scaling.Name, scaling.Workers, scaling.Speedup, minLiveScaling, scaling.TSeq, scaling.TPar))
+	}
+	return problems
+}
+
 // TrisolveVariant selects which triangular-solve configuration a live
 // measurement runs; together the variants sweep both execution strategies
 // (and the reordering) over the paper's test problems.

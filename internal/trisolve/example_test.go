@@ -10,10 +10,10 @@ import (
 	"doacross/internal/trisolve"
 )
 
-// ExampleSolveDoacross solves a small lower triangular system with the
-// preprocessed doacross and verifies it against the sequential substitution —
-// the comparison at the heart of the paper's Table 1.
-func ExampleSolveDoacross() {
+// ExampleSolve solves a small lower triangular system with the preprocessed
+// doacross and verifies it against the sequential substitution — the
+// comparison at the heart of the paper's Table 1.
+func ExampleSolve() {
 	// L = [1 0 0; 2 1 0; 0 3 1] with unit diagonal off-diagonal entries
 	// stored explicitly.
 	a := sparse.FromDense([][]float64{
@@ -25,7 +25,7 @@ func ExampleSolveDoacross() {
 	rhs := []float64{1, 4, 10}
 
 	seq := trisolve.SolveSequential(l, rhs)
-	par, _, err := trisolve.SolveDoacross(l, rhs, core.Options{Workers: 2, WaitStrategy: flags.WaitSpinYield})
+	par, _, err := trisolve.Solve(trisolve.Doacross, l, rhs, core.Options{Workers: 2, WaitStrategy: flags.WaitSpinYield})
 	if err != nil {
 		panic(err)
 	}
@@ -36,9 +36,9 @@ func ExampleSolveDoacross() {
 	// doacross:   [1 2 4]
 }
 
-// ExampleSolveDoacrossReordered applies the doconsider (level) reordering
-// before the doacross — the paper's "Iterations Rearranged" column.
-func ExampleSolveDoacrossReordered() {
+// ExampleNewReorderedSolver applies the doconsider (level) reordering before
+// the doacross — the paper's "Iterations Rearranged" column.
+func ExampleNewReorderedSolver() {
 	a := sparse.FromDense([][]float64{
 		{1, 0, 0, 0},
 		{0, 1, 0, 0},
@@ -47,7 +47,12 @@ func ExampleSolveDoacrossReordered() {
 	})
 	l := sparse.LowerTriangle(a)
 	rhs := []float64{1, 2, 4, 6}
-	y, rep, err := trisolve.SolveDoacrossReordered(l, rhs, doconsider.Level, core.Options{Workers: 2, WaitStrategy: flags.WaitSpinYield})
+	s, err := trisolve.NewReorderedSolver(l, doconsider.Level, core.Options{Workers: 2, WaitStrategy: flags.WaitSpinYield})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	y, rep, err := s.Solve(rhs, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -9,15 +9,22 @@
 //	end do
 //
 // as a preprocessed doacross loop and provides the executors compared in the
-// paper's Table 1: the sequential solve, the plain preprocessed doacross, the
-// doconsider-reordered preprocessed doacross, and (as an additional baseline)
-// a level-scheduled wavefront solve.
+// paper's Table 1: the sequential solve, the plain preprocessed doacross and
+// the doconsider-reordered preprocessed doacross, plus the runtime's
+// wavefront executors and the linear-subscript variant.
+//
+// One loop serves both orientations through its row map: iteration k solves
+// row rows[k], which is k for a lower triangular matrix (forward
+// substitution) and n-1-k for an upper one (backward substitution, which
+// runs from the last row up). Either way every dependence points from a lower
+// to a higher iteration index, which is what the preprocessed doacross
+// requires.
 //
 // The dependencies between elements of y are determined by the column index
 // array, which is only known at run time — exactly the situation the
-// preprocessed doacross targets. Because the left-hand-side subscript is the
-// loop index itself (a(i) = i), the loop also exercises the linear-subscript
-// variant of Section 2.3.
+// preprocessed doacross targets. Because the left-hand-side subscript is a
+// linear function of the iteration index (a(k) = k, or n-1-k), the loop also
+// exercises the linear-subscript variant of Section 2.3.
 package trisolve
 
 import (
@@ -27,64 +34,43 @@ import (
 	"doacross/internal/core"
 	"doacross/internal/depgraph"
 	"doacross/internal/doconsider"
-	"doacross/internal/sched"
 	"doacross/internal/sparse"
 )
 
-// Loop builds the core.Loop implementing the forward substitution for the
-// lower triangular matrix t with right-hand side rhs. The loop writes y[i] at
-// iteration i and reads the columns of row i, all of which are earlier
-// iterations (true dependencies).
-func Loop(t *sparse.Triangular, rhs []float64) (*core.Loop, error) {
-	if !t.Lower {
-		return nil, fmt.Errorf("trisolve: forward substitution requires a lower triangular matrix")
+// rowMap returns the substitution's row map on t: rows[k] is the row
+// iteration k solves, k for a lower factor and n-1-k for an upper one. It is
+// also the loop's write index, since iteration k writes y[rows[k]].
+func rowMap(t *sparse.Triangular) []int {
+	rows := make([]int, t.N)
+	for k := range rows {
+		if t.Lower {
+			rows[k] = k
+		} else {
+			rows[k] = t.N - 1 - k
+		}
 	}
+	return rows
+}
+
+// Loop builds the core.Loop implementing the substitution on the triangular
+// matrix t with right-hand side rhs: iteration k solves row rows[k] of the
+// row map (see the package doc) and reads the columns of that row, all of
+// which earlier iterations write (true dependencies). Body reads the
+// right-hand side from rhs. BodyMulti solves in place: each column RunMulti
+// carries holds its right-hand side on entry, and the runtime seeds the
+// written row from it, so the body starts from v.Row.
+func Loop(t *sparse.Triangular, rhs []float64) (*core.Loop, error) {
 	if len(rhs) < t.N {
 		return nil, fmt.Errorf("trisolve: rhs has %d entries for %d unknowns", len(rhs), t.N)
 	}
-	writes := identity(t.N)
+	rows := rowMap(t)
 	return &core.Loop{
 		N:      t.N,
 		Data:   t.N,
-		Writes: func(i int) []int { return writes[i : i+1] },
-		Reads:  func(i int) []int { return t.Col[t.RowPtr[i]:t.RowPtr[i+1]] },
-		Body: func(i int, v *core.Values) {
-			s := rhs[i]
-			for k := t.RowPtr[i]; k < t.RowPtr[i+1]; k++ {
-				s -= t.Val[k] * v.Load(t.Col[k])
-			}
-			if !t.UnitDiag {
-				s /= t.Diag[i]
-			}
-			v.Store(i, s)
-		},
-	}, nil
-}
-
-// UpperLoop builds the core.Loop implementing the backward substitution for
-// the upper triangular matrix t with right-hand side rhs. The original loop
-// runs i = n-1 down to 0; the doacross iteration index is k = n-1-i so that
-// dependencies still point from lower to higher iteration indices, which is
-// what the preprocessed doacross requires.
-func UpperLoop(t *sparse.Triangular, rhs []float64) (*core.Loop, error) {
-	if t.Lower {
-		return nil, fmt.Errorf("trisolve: backward substitution requires an upper triangular matrix")
-	}
-	if len(rhs) < t.N {
-		return nil, fmt.Errorf("trisolve: rhs has %d entries for %d unknowns", len(rhs), t.N)
-	}
-	n := t.N
-	writes := make([]int, n)
-	for k := range writes {
-		writes[k] = n - 1 - k
-	}
-	return &core.Loop{
-		N:      n,
-		Data:   n,
-		Writes: func(k int) []int { return writes[k : k+1] },
-		Reads:  func(k int) []int { i := n - 1 - k; return t.Col[t.RowPtr[i]:t.RowPtr[i+1]] },
+		Writes: func(k int) []int { return rows[k : k+1] },
+		Reads:  func(k int) []int { i := rows[k]; return t.Col[t.RowPtr[i]:t.RowPtr[i+1]] },
 		Body: func(k int, v *core.Values) {
-			i := n - 1 - k
+			i := rows[k]
 			s := rhs[i]
 			for kk := t.RowPtr[i]; kk < t.RowPtr[i+1]; kk++ {
 				s -= t.Val[kk] * v.Load(t.Col[kk])
@@ -94,44 +80,51 @@ func UpperLoop(t *sparse.Triangular, rhs []float64) (*core.Loop, error) {
 			}
 			v.Store(i, s)
 		},
+		// The blocked body is the same substitution applied to a whole row of
+		// columns per element: one dependency classification (and at most one
+		// wait) covers the row, then the multiply-adds run over contiguous
+		// memory, which is what multiplies arithmetic intensity per level
+		// barrier.
+		BodyMulti: func(k int, v *core.MultiValues) {
+			i := rows[k]
+			out := v.Row(i)
+			for kk := t.RowPtr[i]; kk < t.RowPtr[i+1]; kk++ {
+				a := t.Val[kk]
+				row := v.LoadRow(t.Col[kk])
+				for c := range out {
+					out[c] -= a * row[c]
+				}
+			}
+			if !t.UnitDiag {
+				d := t.Diag[i]
+				for c := range out {
+					out[c] /= d
+				}
+			}
+		},
 	}, nil
 }
 
-// identity returns the slice [0, 1, ..., n-1], shared by the forward solve's
-// write index.
-func identity(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
-// Graph builds the true-dependency graph of the forward solve: iteration i
-// depends on every column index appearing in row i.
+// Graph builds the true-dependency graph of the substitution on t in the
+// loop's iteration numbering: iteration k depends on the iterations solving
+// the columns of row rows[k].
 func Graph(t *sparse.Triangular) *depgraph.Graph {
-	return depgraph.BuildFromWriterIndex(t.N, identity(t.N), func(i int) []int {
+	rows := rowMap(t)
+	return depgraph.BuildFromWriterIndex(t.N, rows, func(k int) []int {
+		i := rows[k]
 		return t.Col[t.RowPtr[i]:t.RowPtr[i+1]]
 	})
 }
 
-// UpperGraph builds the true-dependency graph of the backward solve in the
-// doacross iteration numbering (iteration k solves row n-1-k).
-func UpperGraph(t *sparse.Triangular) *depgraph.Graph {
-	n := t.N
-	write := make([]int, n)
-	for k := range write {
-		write[k] = n - 1 - k
+// Subscript returns the linear left-hand-side subscript of the substitution
+// on t, a(k) = rows[k] (k for a lower factor, n-1-k for an upper one), for
+// use with the linear-subscript doacross variant.
+func Subscript(t *sparse.Triangular) core.LinearSubscript {
+	if t.Lower {
+		return core.LinearSubscript{C: 1, D: 0}
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(k int) []int {
-		i := n - 1 - k
-		return t.Col[t.RowPtr[i]:t.RowPtr[i+1]]
-	})
+	return core.LinearSubscript{C: -1, D: t.N - 1}
 }
-
-// Subscript returns the (trivial) linear left-hand-side subscript of the
-// solve loop, a(i) = i, for use with the linear-subscript doacross variant.
-func Subscript() core.LinearSubscript { return core.LinearSubscript{C: 1, D: 0} }
 
 // SolveSequential solves T*y = rhs with the ordinary sequential substitution
 // (the paper's Table 1 "Sequential Time" column).
@@ -145,8 +138,8 @@ func SolveSequential(t *sparse.Triangular, rhs []float64) []float64 {
 // loop; an iterative driver (a Krylov method applies its ILU preconditioner
 // — two triangular solves — once or twice per iteration) should therefore
 // build the runtime, the worker pool and any reordering plan once and reuse
-// them for every solve, which is what Solver provides. The one-shot
-// SolveDoacross functions remain for single solves and experiments.
+// them for every solve, which is what Solver provides. The one-shot Solve
+// builds a Solver, solves once and closes it.
 //
 // A Solver is not safe for concurrent use. Close releases the worker pool.
 type Solver struct {
@@ -154,17 +147,24 @@ type Solver struct {
 	rt   *core.Runtime
 	loop *core.Loop
 	rhs  []float64 // owned buffer the loop reads; refilled per Solve
-	// mrhs is the owned element-major right-hand-side block of a SolveMulti
-	// call: the value of (row i, block column c) at [i*nc + c], matching the
-	// layout MultiValues hands the loop body. Sized lazily and reused across
-	// blocks and calls.
-	mrhs []float64
 }
 
 // NewSolver builds a reusable doacross solver for the triangular matrix t,
 // choosing forward or backward substitution from t.Lower.
 func NewSolver(t *sparse.Triangular, opts core.Options) (*Solver, error) {
-	return newSolver(t, opts)
+	s := &Solver{t: t, rhs: make([]float64, t.N)}
+	var err error
+	if s.loop, err = Loop(t, s.rhs); err != nil {
+		return nil, err
+	}
+	// Validation is cheap here: the forward solve hits Loop.Validate's
+	// identity fast path, and the backward solve reuses the pooled writer
+	// scratch, so building solvers in a loop stays allocation-light.
+	if err := s.loop.Validate(); err != nil {
+		return nil, err
+	}
+	s.rt = core.NewRuntime(t.N, opts)
+	return s, nil
 }
 
 // NewReorderedSolver builds a reusable doacross solver whose iterations are
@@ -176,91 +176,13 @@ func NewReorderedSolver(t *sparse.Triangular, strategy doconsider.Strategy, opts
 	if opts.Executor == core.ExecWavefront || opts.Executor == core.ExecWavefrontDynamic {
 		return nil, fmt.Errorf("trisolve: a reordered solver cannot use the %v executor (it derives its own level order)", opts.Executor)
 	}
-	var g *depgraph.Graph
-	if t.Lower {
-		g = Graph(t)
-	} else {
-		g = UpperGraph(t)
-	}
+	g := Graph(t)
 	plan := doconsider.NewPlan(g, strategy)
 	if err := doconsider.Validate(g, plan.Order); err != nil {
 		return nil, err
 	}
 	opts.Order = plan.Order
-	return newSolver(t, opts)
-}
-
-func newSolver(t *sparse.Triangular, opts core.Options) (*Solver, error) {
-	s := &Solver{t: t, rhs: make([]float64, t.N)}
-	var err error
-	if t.Lower {
-		s.loop, err = Loop(t, s.rhs)
-	} else {
-		s.loop, err = UpperLoop(t, s.rhs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.attachMultiBody()
-	// Validation is cheap here: the forward solve hits Loop.Validate's
-	// identity fast path, and the backward solve reuses the pooled writer
-	// scratch, so building solvers in a loop stays allocation-light.
-	if err := s.loop.Validate(); err != nil {
-		return nil, err
-	}
-	s.rt = core.NewRuntime(t.N, opts)
-	return s, nil
-}
-
-// attachMultiBody wires the blocked multi-RHS body onto the solver's loop —
-// the same Loop value the scalar solves run, so both paths share one cached
-// wavefront plan. The body is the substitution of Loop/UpperLoop applied to a
-// whole row of columns per element: one dependency classification (and at
-// most one wait) covers the row, then nc multiply-adds run over contiguous
-// memory, which is what multiplies arithmetic intensity per level barrier.
-func (s *Solver) attachMultiBody() {
-	t := s.t
-	if t.Lower {
-		s.loop.BodyMulti = func(i int, v *core.MultiValues) {
-			nc := v.Cols()
-			out := v.Row(i)
-			copy(out, s.mrhs[i*nc:(i+1)*nc])
-			for k := t.RowPtr[i]; k < t.RowPtr[i+1]; k++ {
-				a := t.Val[k]
-				row := v.LoadRow(t.Col[k])
-				for c := range out {
-					out[c] -= a * row[c]
-				}
-			}
-			if !t.UnitDiag {
-				d := t.Diag[i]
-				for c := range out {
-					out[c] /= d
-				}
-			}
-		}
-		return
-	}
-	n := t.N
-	s.loop.BodyMulti = func(k int, v *core.MultiValues) {
-		i := n - 1 - k
-		nc := v.Cols()
-		out := v.Row(i)
-		copy(out, s.mrhs[i*nc:(i+1)*nc])
-		for kk := t.RowPtr[i]; kk < t.RowPtr[i+1]; kk++ {
-			a := t.Val[kk]
-			row := v.LoadRow(t.Col[kk])
-			for c := range out {
-				out[c] -= a * row[c]
-			}
-		}
-		if !t.UnitDiag {
-			d := t.Diag[i]
-			for c := range out {
-				out[c] /= d
-			}
-		}
-	}
+	return NewSolver(t, opts)
 }
 
 // N reports the number of unknowns of the solver's triangular system — the
@@ -293,16 +215,17 @@ func (s *Solver) SolveContext(ctx context.Context, rhs, y []float64) ([]float64,
 	return y, rep, nil
 }
 
-// SolveMulti solves T*Y[c] = B[c] for every column of B in blocked multi-RHS
-// traversals: the dependency structure is walked once per block of up to
-// core.MaxRHSBlock columns, so the per-solve fixed costs (level barriers,
-// flag maintenance, classification) amortize across the block — the batching
-// primitive the serving front end coalesces concurrent requests onto. Y is
-// the solution columns, allocated (column-wise or entirely) when nil, and is
-// returned with an execution report aggregating all blocks. Every B column is
-// copied into the solver's owned block buffer, so the callers' slices are
-// never retained — concurrent enqueuers can reuse their buffers as soon as
-// their request completes.
+// SolveMulti solves T*Y[c] = B[c] for every column of B in one blocked
+// multi-RHS run: the runtime walks the dependency structure once per block of
+// up to core.MaxRHSBlock columns, so the per-solve fixed costs (level
+// barriers, flag maintenance, classification) amortize across the block — the
+// batching primitive the serving front end coalesces concurrent requests
+// onto. Y is the solution columns, allocated (column-wise or entirely) when
+// nil, and is returned with the report of core.Runtime.RunMulti. Each B column
+// is copied into its Y column, which the substitution then solves in place,
+// so the callers' B slices are neither written nor retained — concurrent
+// enqueuers can reuse their buffers as soon as their request completes. A Y
+// column may be its own B column but must not alias another one.
 func (s *Solver) SolveMulti(B, Y [][]float64) ([][]float64, core.Report, error) {
 	return s.SolveMultiContext(context.Background(), B, Y)
 }
@@ -332,53 +255,12 @@ func (s *Solver) SolveMultiContext(ctx context.Context, B, Y [][]float64) ([][]f
 		} else if len(Y[c]) < n {
 			return nil, core.Report{}, fmt.Errorf("trisolve: solution column %d has %d entries for %d unknowns", c, len(Y[c]), n)
 		}
+		copy(Y[c], B[c][:n])
 	}
-	var rep core.Report
-	for base := 0; base < len(B); base += core.MaxRHSBlock {
-		end := base + core.MaxRHSBlock
-		if end > len(B) {
-			end = len(B)
-		}
-		// Gather the block's right-hand sides element-major, matching the
-		// row layout the multi body reads (blocking here keeps the solver's
-		// block width equal to the traversal's, so v.Cols() indexes mrhs).
-		nc := end - base
-		if cap(s.mrhs) < n*nc {
-			s.mrhs = make([]float64, n*nc)
-		}
-		s.mrhs = s.mrhs[:n*nc]
-		for i := 0; i < n; i++ {
-			row := s.mrhs[i*nc : (i+1)*nc]
-			for c := range row {
-				row[c] = B[base+c][i]
-			}
-		}
-		blockRep, err := s.rt.RunMulti(ctx, s.loop, Y[base:end])
-		if err != nil {
-			return nil, core.Report{}, err
-		}
-		rep.PreTime += blockRep.PreTime
-		rep.ExecTime += blockRep.ExecTime
-		rep.PostTime += blockRep.PostTime
-		rep.TotalTime += blockRep.TotalTime
-		rep.TrueDeps += blockRep.TrueDeps
-		rep.SelfDeps += blockRep.SelfDeps
-		rep.AntiOrNone += blockRep.AntiOrNone
-		rep.WaitPolls += blockRep.WaitPolls
-		rep.Workers = blockRep.Workers
-		rep.Iterations = blockRep.Iterations
-		rep.Order = blockRep.Order
-		rep.WaitPolicy = blockRep.WaitPolicy
-		rep.SchedPolicy = blockRep.SchedPolicy
-		rep.Executor = blockRep.Executor
-		rep.Levels = blockRep.Levels
-		rep.InspectCached = blockRep.InspectCached
-		rep.AutoCosts = blockRep.AutoCosts
-		rep.PredictedDoacrossNs = blockRep.PredictedDoacrossNs
-		rep.PredictedWavefrontNs = blockRep.PredictedWavefrontNs
-		rep.PredictedDynamicNs = blockRep.PredictedDynamicNs
+	rep, err := s.rt.RunMulti(ctx, s.loop, Y)
+	if err != nil {
+		return nil, core.Report{}, err
 	}
-	rep.NRHS = len(B)
 	return Y, rep, nil
 }
 
@@ -473,98 +355,18 @@ func wireILU(p *sparse.ILUPreconditioner, mk func(*sparse.Triangular) (*Solver, 
 	}, nil
 }
 
-// SolveDoacross solves T*y = rhs with the plain preprocessed doacross (the
-// Table 1 "Preprocessed Doacross" column) using the supplied runtime options.
-// It returns the solution and the execution report.
-func SolveDoacross(t *sparse.Triangular, rhs []float64, opts core.Options) ([]float64, core.Report, error) {
-	l, err := Loop(t, rhs)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	y := make([]float64, t.N)
-	rt := core.NewRuntime(t.N, opts)
-	defer rt.Close()
-	rep, err := rt.Run(l, y)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	return y, rep, nil
-}
-
-// SolveDoacrossReordered solves T*y = rhs with the preprocessed doacross
-// after reordering the iterations with the given doconsider strategy (the
-// Table 1 "Preprocessed Doacross Iterations Rearranged" column).
-func SolveDoacrossReordered(t *sparse.Triangular, rhs []float64, strategy doconsider.Strategy, opts core.Options) ([]float64, core.Report, error) {
-	l, err := Loop(t, rhs)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	g := Graph(t)
-	plan := doconsider.NewPlan(g, strategy)
-	if err := doconsider.Validate(g, plan.Order); err != nil {
-		return nil, core.Report{}, err
-	}
-	opts.Order = plan.Order
-	y := make([]float64, t.N)
-	rt := core.NewRuntime(t.N, opts)
-	defer rt.Close()
-	rep, err := rt.Run(l, y)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	return y, rep, nil
-}
-
-// SolveUpperDoacross solves the upper triangular system T*y = rhs (backward
-// substitution) with the preprocessed doacross. Together with SolveDoacross
-// it lets both substitutions of an ILU preconditioner run in parallel.
-func SolveUpperDoacross(t *sparse.Triangular, rhs []float64, opts core.Options) ([]float64, core.Report, error) {
-	l, err := UpperLoop(t, rhs)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	y := make([]float64, t.N)
-	rt := core.NewRuntime(t.N, opts)
-	defer rt.Close()
-	rep, err := rt.Run(l, y)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	return y, rep, nil
-}
-
-// SolveUpperDoacrossReordered solves the upper triangular system with the
-// preprocessed doacross after a doconsider reordering of the (reversed)
-// iteration space.
-func SolveUpperDoacrossReordered(t *sparse.Triangular, rhs []float64, strategy doconsider.Strategy, opts core.Options) ([]float64, core.Report, error) {
-	l, err := UpperLoop(t, rhs)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	g := UpperGraph(t)
-	plan := doconsider.NewPlan(g, strategy)
-	if err := doconsider.Validate(g, plan.Order); err != nil {
-		return nil, core.Report{}, err
-	}
-	opts.Order = plan.Order
-	y := make([]float64, t.N)
-	rt := core.NewRuntime(t.N, opts)
-	defer rt.Close()
-	rep, err := rt.Run(l, y)
-	if err != nil {
-		return nil, core.Report{}, err
-	}
-	return y, rep, nil
-}
-
 // SolveRenumbered solves T*y = rhs by renumbering the unknowns with the
 // doconsider ordering (a symmetric permutation of the matrix and right-hand
 // side) and running the preprocessed doacross in natural order on the
-// renumbered system. It is the "transform the data" alternative to
-// SolveDoacrossReordered's "transform the schedule": both produce identical
+// renumbered system. It is the "transform the data" alternative to the
+// reordered solver's "transform the schedule": both produce identical
 // results, and comparing them isolates whether the benefit of the doconsider
-// comes from the iteration order alone.
+// comes from the iteration order alone. It renumbers forward substitutions
+// only and rejects an upper triangular matrix.
 func SolveRenumbered(t *sparse.Triangular, rhs []float64, strategy doconsider.Strategy, opts core.Options) ([]float64, core.Report, error) {
+	if !t.Lower {
+		return nil, core.Report{}, fmt.Errorf("trisolve: SolveRenumbered requires a lower triangular matrix")
+	}
 	g := Graph(t)
 	plan := doconsider.NewPlan(g, strategy)
 	if err := doconsider.Validate(g, plan.Order); err != nil {
@@ -579,7 +381,7 @@ func SolveRenumbered(t *sparse.Triangular, rhs []float64, strategy doconsider.St
 		return nil, core.Report{}, err
 	}
 	prhs := perm.PermuteVector(rhs)
-	py, rep, err := SolveDoacross(pt, prhs, opts)
+	py, rep, err := Solve(Doacross, pt, prhs, opts)
 	if err != nil {
 		return nil, core.Report{}, err
 	}
@@ -588,7 +390,7 @@ func SolveRenumbered(t *sparse.Triangular, rhs []float64, strategy doconsider.St
 }
 
 // SolveLinear solves T*y = rhs with the linear-subscript doacross variant
-// (no inspector), exploiting a(i) = i.
+// (no inspector), exploiting a(k) = rows[k] (see Subscript).
 func SolveLinear(t *sparse.Triangular, rhs []float64, opts core.Options) ([]float64, core.Report, error) {
 	l, err := Loop(t, rhs)
 	if err != nil {
@@ -597,39 +399,11 @@ func SolveLinear(t *sparse.Triangular, rhs []float64, opts core.Options) ([]floa
 	y := make([]float64, t.N)
 	rt := core.NewRuntime(t.N, opts)
 	defer rt.Close()
-	rep, err := rt.RunLinear(l, y, Subscript())
+	rep, err := rt.RunLinear(l, y, Subscript(t))
 	if err != nil {
 		return nil, core.Report{}, err
 	}
 	return y, rep, nil
-}
-
-// SolveLevelScheduled solves T*y = rhs by level scheduling: the dependency
-// graph is decomposed into wavefronts and each wavefront is executed as a
-// doall over the given number of workers, with a barrier between wavefronts.
-// It is the standard alternative to the doacross for sparse triangular solves
-// and serves as an additional baseline in the experiments.
-func SolveLevelScheduled(t *sparse.Triangular, rhs []float64, workers int) ([]float64, int) {
-	g := Graph(t)
-	_, byLevel := g.Levels()
-	y := make([]float64, t.N)
-	pool := sched.NewPool(workers)
-	defer pool.Close()
-	for _, lvl := range byLevel {
-		lvl := lvl
-		pool.ParallelFor(len(lvl), func(k int) {
-			i := lvl[k]
-			s := rhs[i]
-			for kk := t.RowPtr[i]; kk < t.RowPtr[i+1]; kk++ {
-				s -= t.Val[kk] * y[t.Col[kk]]
-			}
-			if !t.UnitDiag {
-				s /= t.Diag[i]
-			}
-			y[i] = s
-		})
-	}
-	return y, len(byLevel)
 }
 
 // SolverKind identifies one of the triangular-solve executors, used by the
@@ -641,12 +415,9 @@ const (
 	Doacross
 	DoacrossReordered
 	LinearSubscript
-	LevelScheduled
 	// DoacrossWavefront runs the preprocessed runtime with its wavefront
 	// executor: the inspected dependency graph executed level by level with
-	// the decomposition and static schedule cached across solves. It differs
-	// from LevelScheduled, which rebuilds the level sets on every call and
-	// exists as the naive baseline.
+	// the decomposition and static schedule cached across solves.
 	DoacrossWavefront
 	// DoacrossWavefrontDynamic runs the preprocessed runtime with its
 	// dynamic wavefront executor: the same cached decomposition as
@@ -667,8 +438,6 @@ func (k SolverKind) String() string {
 		return "doacross-reordered"
 	case LinearSubscript:
 		return "doacross-linear"
-	case LevelScheduled:
-		return "level-scheduled"
 	case DoacrossWavefront:
 		return "doacross-wavefront"
 	case DoacrossWavefrontDynamic:
@@ -678,28 +447,37 @@ func (k SolverKind) String() string {
 	}
 }
 
-// Solve dispatches to the executor identified by kind with the given options
-// (ignored by Sequential and LevelScheduled, which only use opts.Workers).
+// Solve solves T*y = rhs once with the executor identified by kind, on a
+// lower or an upper triangular matrix alike. Every doacross kind builds a
+// Solver (a reordered one, with the level strategy, for DoacrossReordered),
+// solves once and closes it; LinearSubscript runs SolveLinear, and
+// Sequential the plain substitution, which ignores opts.
 func Solve(kind SolverKind, t *sparse.Triangular, rhs []float64, opts core.Options) ([]float64, core.Report, error) {
+	var (
+		s   *Solver
+		err error
+	)
 	switch kind {
 	case Sequential:
 		return SolveSequential(t, rhs), core.Report{Workers: 1, Iterations: t.N, Order: "sequential"}, nil
-	case Doacross:
-		return SolveDoacross(t, rhs, opts)
-	case DoacrossReordered:
-		return SolveDoacrossReordered(t, rhs, doconsider.Level, opts)
 	case LinearSubscript:
 		return SolveLinear(t, rhs, opts)
-	case LevelScheduled:
-		y, levels := SolveLevelScheduled(t, rhs, opts.Workers)
-		return y, core.Report{Workers: opts.Workers, Iterations: t.N, Order: fmt.Sprintf("level-scheduled(%d levels)", levels)}, nil
+	case Doacross:
+		s, err = NewSolver(t, opts)
+	case DoacrossReordered:
+		s, err = NewReorderedSolver(t, doconsider.Level, opts)
 	case DoacrossWavefront:
 		opts.Executor = core.ExecWavefront
-		return SolveDoacross(t, rhs, opts)
+		s, err = NewSolver(t, opts)
 	case DoacrossWavefrontDynamic:
 		opts.Executor = core.ExecWavefrontDynamic
-		return SolveDoacross(t, rhs, opts)
+		s, err = NewSolver(t, opts)
 	default:
 		return nil, core.Report{}, fmt.Errorf("trisolve: unknown solver kind %d", int(kind))
 	}
+	if err != nil {
+		return nil, core.Report{}, err
+	}
+	defer s.Close()
+	return s.Solve(rhs, nil)
 }

@@ -36,13 +36,11 @@ func opts(workers int) core.Options {
 }
 
 func TestLoopRejectsBadInput(t *testing.T) {
-	u := &sparse.Triangular{N: 2, Lower: false, RowPtr: []int{0, 0, 0}, Diag: []float64{1, 1}}
-	if _, err := Loop(u, []float64{1, 2}); err == nil {
-		t.Error("upper triangular accepted for forward solve")
-	}
-	l := &sparse.Triangular{N: 3, Lower: true, RowPtr: []int{0, 0, 0, 0}, Diag: []float64{1, 1, 1}}
-	if _, err := Loop(l, []float64{1}); err == nil {
-		t.Error("short rhs accepted")
+	for _, lower := range []bool{true, false} {
+		tr := &sparse.Triangular{N: 3, Lower: lower, RowPtr: []int{0, 0, 0, 0}, Diag: []float64{1, 1, 1}}
+		if _, err := Loop(tr, []float64{1}); err == nil {
+			t.Errorf("lower=%v: short rhs accepted", lower)
+		}
 	}
 }
 
@@ -53,7 +51,7 @@ func TestDoacrossSolveMatchesSequentialRandom(t *testing.T) {
 		rhs := stencil.RHS(tr.N, int64(trial))
 		want := SolveSequential(tr, rhs)
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, rep, err := SolveDoacross(tr, rhs, opts(workers))
+			got, rep, err := Solve(Doacross, tr, rhs, opts(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +74,12 @@ func TestReorderedSolveMatchesSequential(t *testing.T) {
 	rhs := stencil.RHS(l.N, 7)
 	want := SolveSequential(l, rhs)
 	for _, strategy := range []doconsider.Strategy{doconsider.Level, doconsider.LevelInterleaved, doconsider.CriticalPath} {
-		got, rep, err := SolveDoacrossReordered(l, rhs, strategy, opts(4))
+		s, err := NewReorderedSolver(l, strategy, opts(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, rep, err := s.Solve(rhs, nil)
+		s.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,21 +109,6 @@ func TestLinearSolveMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestLevelScheduledSolveMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr := randomLower(rng, 500, 3, true)
-	rhs := stencil.RHS(tr.N, 4)
-	want := SolveSequential(tr, rhs)
-	got, levels := SolveLevelScheduled(tr, rhs, 4)
-	if d := sparse.VecMaxDiff(got, want); d > 1e-12 {
-		t.Fatalf("level-scheduled solve differs by %v", d)
-	}
-	g := Graph(tr)
-	if _, byLevel := g.Levels(); len(byLevel) != levels {
-		t.Errorf("level count mismatch: %d vs %d", levels, len(byLevel))
-	}
-}
-
 func TestGraphStructureMatchesMatrix(t *testing.T) {
 	// The dependency graph of the solve must contain exactly one predecessor
 	// per off-diagonal nonzero (after dedup).
@@ -147,9 +135,12 @@ func TestGraphStructureMatchesMatrix(t *testing.T) {
 }
 
 func TestSubscript(t *testing.T) {
-	s := Subscript()
-	if s.C != 1 || s.D != 0 {
-		t.Errorf("Subscript() = %+v, want identity", s)
+	rng := rand.New(rand.NewSource(13))
+	if s := Subscript(randomLower(rng, 10, 2, false)); s.C != 1 || s.D != 0 {
+		t.Errorf("lower Subscript = %+v, want identity", s)
+	}
+	if s := Subscript(randomUpper(rng, 10, 2)); s.C != -1 || s.D != 9 {
+		t.Errorf("upper Subscript = %+v, want a(k) = 9-k", s)
 	}
 }
 
@@ -158,7 +149,7 @@ func TestSolveDispatch(t *testing.T) {
 	tr := randomLower(rng, 200, 2, true)
 	rhs := stencil.RHS(tr.N, 11)
 	want := SolveSequential(tr, rhs)
-	for _, kind := range []SolverKind{Sequential, Doacross, DoacrossReordered, LinearSubscript, LevelScheduled} {
+	for _, kind := range []SolverKind{Sequential, Doacross, DoacrossReordered, LinearSubscript} {
 		got, _, err := Solve(kind, tr, rhs, opts(4))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -191,24 +182,13 @@ func randomUpper(rng *rand.Rand, n, rowNNZ int) *sparse.Triangular {
 	return sparse.UpperTriangle(a)
 }
 
-func TestUpperLoopRejectsLower(t *testing.T) {
-	l := &sparse.Triangular{N: 2, Lower: true, RowPtr: []int{0, 0, 0}, Diag: []float64{1, 1}}
-	if _, err := UpperLoop(l, []float64{1, 2}); err == nil {
-		t.Error("lower triangular accepted for backward solve")
-	}
-	u := &sparse.Triangular{N: 3, Lower: false, RowPtr: []int{0, 0, 0, 0}, Diag: []float64{1, 1, 1}}
-	if _, err := UpperLoop(u, []float64{1}); err == nil {
-		t.Error("short rhs accepted")
-	}
-}
-
 func TestUpperDoacrossSolveMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 3; trial++ {
 		tr := randomUpper(rng, 300, 3)
 		rhs := stencil.RHS(tr.N, int64(trial))
 		want := tr.Solve(rhs, nil)
-		got, rep, err := SolveUpperDoacross(tr, rhs, opts(4))
+		got, rep, err := Solve(Doacross, tr, rhs, opts(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +208,7 @@ func TestUpperDoacrossReorderedMatchesSequential(t *testing.T) {
 	}
 	rhs := stencil.RHS(u.N, 3)
 	want := u.Solve(rhs, nil)
-	got, rep, err := SolveUpperDoacrossReordered(u, rhs, doconsider.Level, opts(4))
+	got, rep, err := Solve(DoacrossReordered, u, rhs, opts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +223,7 @@ func TestUpperDoacrossReorderedMatchesSequential(t *testing.T) {
 func TestUpperGraphStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	tr := randomUpper(rng, 80, 2)
-	g := UpperGraph(tr)
+	g := Graph(tr)
 	if g.N != tr.N {
 		t.Fatal("graph size mismatch")
 	}
@@ -282,7 +262,7 @@ func TestRenumberedSolveMatchesSequential(t *testing.T) {
 	if rep.Order != "renumbered" {
 		t.Errorf("report order %q", rep.Order)
 	}
-	reordered, _, err := SolveDoacrossReordered(l, rhs, doconsider.Level, opts(4))
+	reordered, _, err := Solve(DoacrossReordered, l, rhs, opts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +284,7 @@ func TestILUFactorSolveOnPaperProblem(t *testing.T) {
 	if sparse.VecMaxDiff(back, rhs) > 1e-9 {
 		t.Fatal("sequential solve residual too large")
 	}
-	got, _, err := SolveDoacross(l, rhs, opts(8))
+	got, _, err := Solve(Doacross, l, rhs, opts(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,3 +118,50 @@ func TestSolverUpdateRowRejectsBadRow(t *testing.T) {
 		t.Fatal("a rejected UpdateRow evicted the cached plan")
 	}
 }
+
+// TestSolveMultiReportsRepair checks the repair stamp on the blocked path:
+// the first run after UpdateRow reports the repair whichever entry point it
+// takes, so a SolveMulti wider than one column block reports it (with the
+// repair's time) and the Solve after it does not.
+func TestSolveMultiReportsRepair(t *testing.T) {
+	l, _, err := stencil.LowerFactor(stencil.FivePoint, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(l, multiOpts(2, core.ExecWavefront))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	B := make([][]float64, core.MaxRHSBlock+5)
+	for c := range B {
+		B[c] = stencil.RHS(l.N, int64(c))
+	}
+	if _, _, err := s.SolveMulti(B, nil); err != nil {
+		t.Fatal(err)
+	}
+	i := l.N / 2
+	cols, vals := randomRowEdit(rand.New(rand.NewSource(37)), l.N, i, true)
+	rr, err := s.UpdateRow(i, cols, vals, l.Diag[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rr.Repaired {
+		t.Fatalf("UpdateRow(%d) fell back to invalidation: %+v", i, rr)
+	}
+	_, rep, err := s.SolveMulti(B, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.PlanRepaired || rep.RepairNs != rr.RepairTime.Nanoseconds() {
+		t.Errorf("SolveMulti after UpdateRow: PlanRepaired=%v RepairNs=%d, want true and %d",
+			rep.PlanRepaired, rep.RepairNs, rr.RepairTime.Nanoseconds())
+	}
+	_, rep, err = s.Solve(B[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PlanRepaired || rep.RepairNs != 0 {
+		t.Errorf("Solve after the reported repair: PlanRepaired=%v RepairNs=%d, want false and 0", rep.PlanRepaired, rep.RepairNs)
+	}
+}

@@ -1,8 +1,6 @@
 package doacross
 
 import (
-	"fmt"
-
 	"doacross/internal/depgraph"
 	"doacross/internal/doconsider"
 	"doacross/internal/sparse"
@@ -38,9 +36,6 @@ const (
 	SolverReordered SolverKind = trisolve.DoacrossReordered
 	// SolverLinear is the linear-subscript doacross (no inspector).
 	SolverLinear SolverKind = trisolve.LinearSubscript
-	// SolverLevelScheduled is the wavefront (level-scheduled) baseline that
-	// rebuilds its level sets on every call.
-	SolverLevelScheduled SolverKind = trisolve.LevelScheduled
 	// SolverWavefront is the preprocessed runtime with its wavefront
 	// executor: pre-scheduled level-set execution with the decomposition and
 	// static schedule cached across solves. Equivalent to SolverDoacross
@@ -75,25 +70,22 @@ const (
 type DepGraph = depgraph.Graph
 
 // TrisolveLoop returns the doacross Loop description of the substitution on
-// t with the given right-hand side: the forward substitution for a lower
-// triangular matrix, the backward one (with iteration indices reversed so
-// dependencies point forward) for an upper. It is the loop the Solver kinds
-// run internally, exposed so callers can Inspect a solve's dependency
-// structure or drive Runtime.Run themselves.
+// t with the given right-hand side, for a lower (forward substitution) or an
+// upper (backward substitution) triangular matrix alike: iteration k solves
+// row k of a lower factor and row n-1-k of an upper one, so dependencies
+// always point forward. Body reads the right-hand side from rhs; BodyMulti,
+// run through Runtime.RunMulti, solves each column in place from the
+// right-hand side it carries in. It is the loop every Solver runs, exposed so
+// callers can Inspect a solve's dependency structure or drive Runtime.Run
+// themselves.
 func TrisolveLoop(t *Triangular, rhs []float64) (*Loop, error) {
-	if t.Lower {
-		return trisolve.Loop(t, rhs)
-	}
-	return trisolve.UpperLoop(t, rhs)
+	return trisolve.Loop(t, rhs)
 }
 
 // TrisolveGraph builds the true-dependency graph of the triangular solve on
-// t (forward substitution for a lower factor, backward for an upper one).
+// t in TrisolveLoop's iteration numbering.
 func TrisolveGraph(t *Triangular) *DepGraph {
-	if t.Lower {
-		return trisolve.Graph(t)
-	}
-	return trisolve.UpperGraph(t)
+	return trisolve.Graph(t)
 }
 
 // NewSolver builds a reusable doacross solver for the triangular matrix t,
@@ -119,35 +111,15 @@ func NewReorderedSolver(t *Triangular, strategy ReorderStrategy, opts ...Option)
 }
 
 // SolveTriangular solves T*y = rhs once with the executor identified by
-// kind. For repeated solves on the same matrix build a Solver instead, which
-// reuses the runtime across calls.
+// kind, on a lower or an upper triangular matrix alike: every doacross kind
+// builds a Solver, solves once and closes it. For repeated solves on the same
+// matrix build a Solver instead, which reuses the runtime across calls.
 func SolveTriangular(kind SolverKind, t *Triangular, rhs []float64, opts ...Option) ([]float64, Report, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	if t.Lower {
-		return trisolve.Solve(kind, t, rhs, o)
-	}
-	// Backward substitution supports a subset of the executors; asking for
-	// one of the others must fail loudly rather than silently running a
-	// different algorithm under the requested name.
-	switch kind {
-	case SolverSequential:
-		return trisolve.SolveSequential(t, rhs), Report{Workers: 1, Iterations: t.N, Order: "sequential"}, nil
-	case SolverDoacross:
-		return trisolve.SolveUpperDoacross(t, rhs, o)
-	case SolverReordered:
-		return trisolve.SolveUpperDoacrossReordered(t, rhs, doconsider.Level, o)
-	case SolverWavefront:
-		o.Executor = Wavefront
-		return trisolve.SolveUpperDoacross(t, rhs, o)
-	case SolverWavefrontDynamic:
-		o.Executor = WavefrontDynamic
-		return trisolve.SolveUpperDoacross(t, rhs, o)
-	default:
-		return nil, Report{}, fmt.Errorf("doacross: executor %v is not supported for upper (backward-substitution) factors", kind)
-	}
+	return trisolve.Solve(kind, t, rhs, o)
 }
 
 // SolveSequential solves T*y = rhs with the ordinary sequential
@@ -161,7 +133,8 @@ func SolveSequential(t *Triangular, rhs []float64) []float64 {
 // side) and running the doacross in natural order on the renumbered system —
 // the "transform the data" alternative to SolverReordered's "transform the
 // schedule". Both produce identical results; comparing them isolates whether
-// the reordering benefit comes from the iteration order alone.
+// the reordering benefit comes from the iteration order alone. It renumbers
+// forward substitutions only and returns an error for an upper factor.
 func SolveRenumbered(t *Triangular, rhs []float64, strategy ReorderStrategy, opts ...Option) ([]float64, Report, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
