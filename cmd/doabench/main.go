@@ -359,7 +359,14 @@ func main() {
 			return "", nil, err
 		}
 		benchRecords = append(benchRecords, experiments.TuningBenchRecords(rows)...)
-		return experiments.FormatTuning(rows), experiments.CheckTuning(rows), nil
+		// The near-tie run -check bounds: a fixed workload, worker count and
+		// run budget, whatever the flags say.
+		settle, err := experiments.RunTuningSettle()
+		if err != nil {
+			return "", nil, err
+		}
+		return experiments.FormatTuning(rows) + settle.String(),
+			append(experiments.CheckTuning(rows), experiments.CheckTuningSettle(settle)...), nil
 	})
 
 	if *jsonPath != "" && len(benchRecords) > 0 {

@@ -12,10 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
-	"time"
 
 	"doacross"
 	"doacross/internal/sparse"
@@ -44,44 +44,56 @@ var solverKinds = []doacross.SolverKind{
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, solves the chosen system with the chosen solvers and
+// writes the report to stdout. Every row's speedup and efficiency are taken
+// against the sequential reference solve, timed like the rows, so they are
+// real whether or not the sequential row itself is printed.
+func run(args []string, stdout io.Writer) error {
 	var names []string
 	for _, kind := range solverKinds {
 		names = append(names, kind.String())
 	}
+	fs := flag.NewFlagSet("trisolve", flag.ExitOnError)
 	var (
-		problem   = flag.String("problem", "5-PT", "test system: SPE2, SPE5, 5-PT, 7-PT or 9-PT")
-		workers   = flag.Int("workers", 4, "number of workers for the parallel solvers")
-		solver    = flag.String("solver", "all", strings.Join(names, " | ")+" | all")
-		repeat    = flag.Int("repeat", 3, "timing repetitions (best is reported)")
-		seed      = flag.Int64("seed", 1, "seed for the synthetic SPE operators")
-		showTrace = flag.Bool("trace", false, "print a per-worker execution trace summary of the doacross solve")
+		problem   = fs.String("problem", "5-PT", "test system: SPE2, SPE5, 5-PT, 7-PT or 9-PT")
+		workers   = fs.Int("workers", 4, "number of workers for the parallel solvers")
+		solver    = fs.String("solver", "all", strings.Join(names, " | ")+" | all")
+		repeat    = fs.Int("repeat", 3, "timing repetitions (best is reported)")
+		seed      = fs.Int64("seed", 1, "seed for the synthetic SPE operators")
+		showTrace = fs.Bool("trace", false, "print a per-worker execution trace summary of the doacross solve")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *solver != "all" && !slices.Contains(names, *solver) {
 		// An unknown solver name would fall through the solve loop and
 		// silently solve nothing; reject it with the valid set instead.
-		fmt.Fprintf(os.Stderr, "unknown solver %q (valid: %s, all)\n", *solver, strings.Join(names, ", "))
-		os.Exit(1)
+		return fmt.Errorf("unknown solver %q (valid: %s, all)", *solver, strings.Join(names, ", "))
 	}
 
 	prob, err := problemByName(*problem)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("Building %v (%d equations) and its ILU(0) lower factor...\n", prob, prob.Equations())
+	fmt.Fprintf(stdout, "Building %v (%d equations) and its ILU(0) lower factor...\n", prob, prob.Equations())
 	l, _, err := stencil.LowerFactor(prob, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	rhs := stencil.RHS(l.N, 7)
 	g := doacross.TrisolveGraph(l)
 	st := g.Analyze()
-	fmt.Printf("Dependency structure: %s\n\n", st)
+	fmt.Fprintf(stdout, "Dependency structure: %s\n\n", st)
 
-	reference := doacross.SolveSequential(l, rhs)
+	var reference []float64
+	seqTime := trace.Measure(*repeat, func() { reference = doacross.SolveSequential(l, rhs) }).Min()
 	opts := []doacross.Option{
 		doacross.WithWorkers(*workers),
 		doacross.WithPolicy(doacross.Dynamic),
@@ -89,25 +101,21 @@ func main() {
 		doacross.WithWaitStrategy(doacross.WaitSpinYield),
 	}
 
-	fmt.Printf("%-20s %12s %10s %10s  %s\n", "solver", "time", "speedup", "eff", "check")
-	var seqTime time.Duration
+	fmt.Fprintf(stdout, "%-20s %12s %10s %10s  %s\n", "solver", "time", "speedup", "eff", "check")
 	for _, kind := range solverKinds {
 		name := kind.String()
 		if *solver != "all" && *solver != name {
 			continue
 		}
 		var out []float64
-		sample := trace.Measure(*repeat, func() {
-			var solveErr error
-			out, _, solveErr = doacross.SolveTriangular(kind, l, rhs, opts...)
-			if solveErr != nil {
-				fmt.Fprintln(os.Stderr, solveErr)
-				os.Exit(1)
+		var solveErr error
+		best := trace.Measure(*repeat, func() {
+			if solveErr == nil {
+				out, _, solveErr = doacross.SolveTriangular(kind, l, rhs, opts...)
 			}
-		})
-		best := sample.Min()
-		if kind == doacross.SolverSequential {
-			seqTime = best
+		}).Min()
+		if solveErr != nil {
+			return solveErr
 		}
 		check := "ok"
 		if d := sparse.VecMaxDiff(out, reference); d > 1e-9 {
@@ -118,7 +126,7 @@ func main() {
 			speedup = trace.Speedup(seqTime, best)
 			eff = trace.Efficiency(seqTime, best, *workers)
 		}
-		fmt.Printf("%-20s %12v %10.2f %10.2f  %s\n", name, best, speedup, eff, check)
+		fmt.Fprintf(stdout, "%-20s %12v %10.2f %10.2f  %s\n", name, best, speedup, eff, check)
 	}
 
 	if *showTrace {
@@ -126,15 +134,14 @@ func main() {
 		tracedOpts := append(opts[:len(opts):len(opts)], doacross.WithTrace())
 		s, err := doacross.NewSolver(l, tracedOpts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer s.Close()
 		if _, _, err := s.Solve(rhs, nil); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println()
-		fmt.Print(s.Trace().Summarize())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, s.Trace().Summarize())
 	}
+	return nil
 }

@@ -24,7 +24,8 @@ type Values = core.Values
 // MultiValues gives a multi-RHS loop body (see LoopBuilder.BodyMulti and
 // Runtime.RunMulti) access to a column block of the shared array: LoadRow
 // performs one dependency check for a whole row of columns, Row exposes the
-// iteration's writable output row.
+// iteration's writable output row. It shares Values' per-iteration state, so
+// Iteration, Waits and Fail behave the same on both.
 type MultiValues = core.MultiValues
 
 // MaxRHSBlock is the widest column block one traversal carries; RunMulti and
@@ -393,10 +394,11 @@ func buildOptions(opts []Option) (core.Options, error) {
 // Runtime holds the reusable state of a preprocessed doacross: the
 // inspector's scratch tables, the renaming buffer and a persistent worker
 // pool. Build one Runtime per data-array length and reuse it across runs (an
-// iterative driver calls Run thousands of times on one Runtime). Run,
-// Inspect and InvalidatePlans may be called from multiple goroutines — they
-// serialize on an internal mutex, so one run executes at a time. Close
-// releases the worker pool.
+// iterative driver calls Run thousands of times on one Runtime). The runs
+// (Run, RunMulti, RunBlocked, RunLinear, RunDoall), Inspect,
+// InvalidatePlans, RepairPlans and TuningSnapshot may be called from
+// multiple goroutines — they serialize on an internal mutex, so one run
+// executes at a time. Close releases the worker pool.
 type Runtime struct {
 	rt *core.Runtime
 }

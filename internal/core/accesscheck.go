@@ -143,11 +143,12 @@ func (r *accessRecorder) noteStore(e int) {
 	}
 }
 
-// armAccessCheck attaches worker's recorder to v for iteration i when the
-// runtime's declared-access sanitizer is on. writes is the Writes(i) slice
-// the caller has already obtained. reset has cleared v.rec, so unchecked
-// runtimes (rt.recs == nil) leave the accessors on their no-op path.
-func (rt *Runtime) armAccessCheck(v *Values, l *Loop, worker, i int, writes []int) {
+// armAccessCheck attaches worker's recorder to s for iteration i when the
+// runtime's declared-access sanitizer is on; Values and MultiValues share it.
+// writes is the Writes(i) slice the caller has already obtained. reset has
+// cleared s.rec, so unchecked runtimes (rt.recs == nil) leave the accessors
+// on their no-op path.
+func (rt *Runtime) armAccessCheck(s *iterState, l *Loop, worker, i int, writes []int) {
 	if rt.recs == nil {
 		return
 	}
@@ -157,15 +158,15 @@ func (rt *Runtime) armAccessCheck(v *Values, l *Loop, worker, i int, writes []in
 		reads = l.Reads(i)
 	}
 	r.begin(i, writes, reads, l.Reads != nil)
-	v.rec = r
+	s.rec = r
 }
 
 // accessViolation returns the iteration's first undeclared access, nil when
 // the iteration was unchecked or clean. Called after the body returns, so one
 // iteration's diff costs one pointer test on the unchecked path.
-func (v *Values) accessViolation() error {
-	if v.rec == nil || v.rec.violation == nil {
+func (s *iterState) accessViolation() error {
+	if s.rec == nil || s.rec.violation == nil {
 		return nil
 	}
-	return v.rec.violation
+	return s.rec.violation
 }

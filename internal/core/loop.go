@@ -192,8 +192,22 @@ func (l *Loop) writerScratch(upto int) (*[]int, []int) {
 
 // Values gives a loop body access to the shared array with the paper's
 // execution-time dependency checks. A Values is specific to one iteration of
-// one run and must not be retained after the body returns.
-type Values struct {
+// one run and must not be retained after the body returns. It shares its
+// per-iteration state, and the Iteration, Waits and Fail accessors, with
+// MultiValues; Load is the one-element case of MultiValues.LoadRow on the
+// same state.
+type Values struct{ iterState }
+
+// iterState is the per-iteration state behind Values and MultiValues: the
+// dependency classifier and ready flags of the run, the old and new arrays
+// (one value per element, or one row per element for a MultiValues, whose
+// row width is set per block), the abort flag, the failure record, the
+// access recorder and the dependency counters. One reset, one access-check
+// arming and one violation test serve both handles. Its size is the
+// per-worker Values stride, which decides which hot fields of neighbouring
+// workers share a cache line; keep fields that are constant for a run out of
+// it.
+type iterState struct {
 	iter     writerTable
 	ready    readyWaiter
 	old      []float64
@@ -219,6 +233,25 @@ type Values struct {
 	antiOrNone int
 }
 
+// reset arms the state for iteration i. The fields are assigned one by one:
+// a single struct-literal assignment compiles to a bulk typed copy that costs
+// measurably more on this per-iteration path.
+func (s *iterState) reset(t writerTable, r readyWaiter, old, new []float64, i int, st flags.WaitStrategy, cancel *atomic.Bool) {
+	s.iter = t
+	s.ready = r
+	s.old = old
+	s.new = new
+	s.i = i
+	s.strategy = st
+	s.cancel = cancel
+	s.failErr = nil
+	s.rec = nil
+	s.waits = 0
+	s.truedeps = 0
+	s.selfdeps = 0
+	s.antiOrNone = 0
+}
+
 // writerTable abstracts IterTable and EpochIterTable.
 type writerTable interface {
 	Classify(e, i int) (flags.Dependence, int64)
@@ -241,7 +274,7 @@ type readyWaiter interface {
 // Iteration returns the original index of the iteration the body is
 // executing. Bodies that need the index receive it as an argument as well;
 // this accessor exists for helper code shared between bodies.
-func (v *Values) Iteration() int { return v.i }
+func (s *iterState) Iteration() int { return s.i }
 
 // Load returns the value of element e as the original sequential loop would
 // have observed it at this iteration: if e is written by an earlier
@@ -309,16 +342,16 @@ func (v *Values) Store(e int, x float64) {
 
 // Waits reports how many polling steps this iteration spent waiting on
 // unsatisfied true dependencies.
-func (v *Values) Waits() int { return v.waits }
+func (s *iterState) Waits() int { return s.waits }
 
 // Fail marks this iteration — and therefore the whole run — as failed. The
 // runtime stops starting new iterations, releases waiting ones, restores the
 // scratch state and returns err (the first failure reported wins). It is the
 // escape hatch for bodies whose signature cannot change; new code should use
 // Loop.BodyErr. A nil err is ignored.
-func (v *Values) Fail(err error) {
-	if err != nil && v.failErr == nil {
-		v.failErr = err
+func (s *iterState) Fail(err error) {
+	if err != nil && s.failErr == nil {
+		s.failErr = err
 	}
 }
 
@@ -336,7 +369,7 @@ func RunSequential(l *Loop, y []float64) error {
 	}
 	v := &Values{}
 	for i := 0; i < l.N; i++ {
-		v.reset(seqTable{}, seqReady{}, y, y, i, flags.WaitSpin)
+		v.reset(seqTable{}, seqReady{}, y, y, i, flags.WaitSpin, nil)
 		if err := l.run(i, v); err != nil {
 			return err
 		}
@@ -361,19 +394,3 @@ func (seqReady) WaitFor(e int, s flags.WaitStrategy, cancelled *atomic.Bool) (in
 	return 0, true
 }
 func (seqReady) WakeAll() {}
-
-func (v *Values) reset(t writerTable, r readyWaiter, old, new []float64, i int, s flags.WaitStrategy) {
-	v.iter = t
-	v.ready = r
-	v.old = old
-	v.new = new
-	v.i = i
-	v.strategy = s
-	v.cancel = nil
-	v.failErr = nil
-	v.rec = nil
-	v.waits = 0
-	v.truedeps = 0
-	v.selfdeps = 0
-	v.antiOrNone = 0
-}

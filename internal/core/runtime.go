@@ -154,10 +154,12 @@ func (r Report) String() string {
 // Section 2.1 of the paper, one Runtime is shared by successive doacross
 // loops over data arrays of the same length, and its postprocessing phase
 // restores the scratch state so the next loop can start immediately.
-// RunContext, RunMulti, Inspect, InvalidatePlans and RepairPlans may be
-// called from multiple goroutines: they serialize on an internal mutex (one
-// run executes at a time). The ablation variants (RunLinear, RunOracle,
-// RunDoall) remain single-caller.
+// Scalar runs (RunContext) and blocked multi-RHS runs (RunMulti) share one
+// driver and one per-position body (execBody). Every entry point — the runs,
+// the ablation variants (RunBlocked, RunLinear, RunOracle, RunDoall),
+// Inspect, InvalidatePlans, RepairPlans and the snapshots — may be called
+// from multiple goroutines: they serialize on an internal mutex (one run
+// executes at a time; RunBlocked takes it once per block).
 type Runtime struct {
 	opts Options
 	pool *sched.Pool
@@ -171,7 +173,10 @@ type Runtime struct {
 
 	// Per-worker scratch reused across runs so the hot path of an iterative
 	// driver (a Krylov solve calling Run thousands of times) allocates
-	// nothing per Run beyond the schedule memoized below.
+	// nothing per iteration. What a warm run does allocate is per run: its
+	// report and the executor's closures, barrier and phase stamps — 8
+	// allocations for a warm scalar Solver.Solve and 12 for a warm 3-column
+	// SolveMulti under every executor (TestWarmSolveAllocations).
 	counters []execCounters
 	vals     []Values
 	// recs holds the per-worker declared-access recorders; nil unless
@@ -187,10 +192,10 @@ type Runtime struct {
 	// Options.CollectTrace is set.
 	lastTrace *Trace
 
-	// runMu serializes the stateful entry points (RunContext, RunMulti,
+	// runMu serializes the stateful entry points (the runs and Run variants,
 	// Inspect, InvalidatePlans, RepairPlans and the snapshots): the scratch
-	// tables, counters and schedule cache belong to one run at a time, so
-	// concurrent callers queue up rather than race.
+	// tables, counters, per-worker Values and schedule cache belong to one
+	// run at a time, so concurrent callers queue up rather than race.
 	runMu sync.Mutex
 
 	// Schedule cache of the wavefront executor: planMemoLoop/planMemo is the
@@ -230,14 +235,14 @@ type Runtime struct {
 
 	// Multi-RHS block state (see multi.go). mold/mnew are the element-major
 	// column-block buffers (value of element e, block column c at
-	// [e*nc + c]), mvals the per-worker MultiValues scratch, and mc the armed
-	// block descriptor: a non-zero mc.nc makes execBody hand executors the
-	// multi body instead of the scalar one. All are sized lazily on the first
-	// RunMulti and reused across blocks and runs.
+	// [e*nc + c]), mvals the per-worker MultiValues scratch, and mnc the armed
+	// block's column count: a non-zero mnc makes execBody run BodyMulti over
+	// the block buffers instead of the scalar body over y. All are sized
+	// lazily on the first RunMulti and reused across blocks and runs.
 	mold  []float64
 	mnew  []float64
 	mvals []MultiValues
-	mc    multiRun
+	mnc   int
 }
 
 // runAbort coordinates early termination of a run: the first failure
@@ -513,69 +518,151 @@ func (rt *Runtime) Run(l *Loop, y []float64) (Report, error) {
 // three times. The loop's data length must not exceed the runtime's. Run may
 // be called repeatedly (with the same or different loops); the scratch
 // arrays, worker pool and schedule are reused across calls as in the paper.
+// RunContext checks y and the scalar body, then runs the loop through the
+// driver it shares with RunMulti, as one traversal of y.
 func (rt *Runtime) RunContext(ctx context.Context, l *Loop, y []float64) (Report, error) {
 	if err := rt.checkRunArgs(l, y); err != nil {
 		return Report{}, err
 	}
+	return rt.run(ctx, l, y, nil)
+}
+
+// run is the driver behind RunContext (ys nil: one traversal of y) and
+// RunMulti (one traversal per MaxRHSBlock block of ys). Each traversal
+// resolves its own executor and reports into its own Report; fold
+// accumulates them into the run's. A traversal that failed after it started
+// executing counts as one failed run of its executor in the metrics sink; a
+// failure before that (executor resolution, a cancellation caught before
+// execution) is not counted.
+func (rt *Runtime) run(ctx context.Context, l *Loop, y []float64, ys [][]float64) (Report, error) {
 	if rt.opts.Order != nil && len(rt.opts.Order) != l.N {
 		return Report{}, fmt.Errorf("core: execution order has %d entries for %d iterations", len(rt.opts.Order), l.N)
 	}
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
-	// One run owns the scratch state at a time; concurrent Run (and Inspect,
-	// and InvalidatePlans) calls serialize here.
+	// One run owns the scratch state at a time; concurrent runs (and every
+	// other stateful entry point) serialize here.
 	rt.runMu.Lock()
 	defer rt.runMu.Unlock()
 
-	rep := Report{
-		Workers:     rt.opts.Workers,
-		Iterations:  l.N,
-		WaitPolicy:  rt.opts.WaitStrategy.String(),
-		SchedPolicy: rt.opts.Policy.String(),
-	}
+	order := "natural"
 	if rt.opts.Order != nil {
-		rep.Order = "reordered"
-	} else {
-		rep.Order = "natural"
+		order = "reordered"
 	}
-
-	// Resolve the execution strategy. For ExecWavefront/ExecAuto this is
-	// where the inspection (or its cache hit) happens, so its cost is folded
-	// into the report's preprocessing time below. Like the doacross's own
-	// inspector shard, a cold inspection is not interruptible mid-flight;
-	// ctx is re-checked as soon as it completes.
-	selStart := time.Now()
-	ex, err := rt.executorFor(l, &rep, 1)
-	if err != nil {
-		return Report{}, err
+	hdr := rt.reportFor(l, order)
+	hdr.NRHS = len(ys)
+	rep := hdr
+	start := time.Now()
+	// base == 0 admits the scalar run's single traversal (len(ys) == 0).
+	for base := 0; base == 0 || base < len(ys); base += MaxRHSBlock {
+		var block [][]float64
+		if ys != nil {
+			block = ys[base:min(base+MaxRHSBlock, len(ys))]
+		}
+		tr := hdr
+		if err := rt.traverse(ctx, l, y, block, base, &tr); err != nil {
+			if tr.Executor != "" {
+				rt.recordRun(tr.Executor, time.Since(start), err)
+			}
+			return Report{}, err
+		}
+		rep.fold(tr)
 	}
-	selTime := time.Since(selStart)
-	rep.Executor = ex.name()
-	rt.stampRepair(l, &rep)
-	if err := ctx.Err(); err != nil {
-		return Report{}, err
-	}
-
-	stopWatch := rt.watchContext(ctx)
-	ex.execute(l, y, &rep)
-	stopWatch()
-	if err := rt.ab.firstErr(); err != nil {
-		rt.recordRun(rep.Executor, time.Since(selStart), err)
-		return Report{}, err
-	}
-	rep.PreTime += selTime
-	rep.TotalTime += selTime
-	rep.setCounters(sumCounters(rt.counters))
-	rt.observeTuning(&rep)
-	rt.recordRun(rep.Executor, time.Since(selStart), nil)
+	rt.recordRun(rep.Executor, time.Since(start), nil)
 	return rep, nil
 }
 
+// traverse runs one traversal of the loop — the whole scalar run (block nil)
+// or one column block of a RunMulti call, whose first column is ys[colBase] —
+// and reports it into tr. It resolves the executor at the traversal's width,
+// stamps a pending repair, gathers a block into the element-major buffers,
+// executes under the context watcher, scatters a block back and feeds the
+// tuner this traversal's own executor time. tr.Executor is set only once the
+// traversal is about to execute. Caller holds runMu.
+func (rt *Runtime) traverse(ctx context.Context, l *Loop, y []float64, block [][]float64, colBase int, tr *Report) error {
+	// Resolving the execution strategy is where ExecWavefront/ExecAuto
+	// inspect (or hit the cache), so its cost is folded into the report's
+	// preprocessing time below. Like the doacross's own inspector shard, a
+	// cold inspection is not interruptible mid-flight; ctx is re-checked as
+	// soon as it completes.
+	start := time.Now()
+	ex, err := rt.executorFor(l, tr, max(len(block), 1))
+	if err != nil {
+		return err
+	}
+	rt.stampRepair(l, tr)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	tr.Executor = ex.name()
+	if block != nil {
+		// The y the executor sees is the renaming buffer itself: the multi
+		// body never touches it and the executors' copy-back becomes a
+		// self-assignment, so every executor runs a block unchanged.
+		rt.armMulti(l, block, colBase)
+		y = rt.ynew
+	}
+	pre := time.Since(start)
+	stopWatch := rt.watchContext(ctx)
+	ex.execute(l, y, tr)
+	stopWatch()
+	err = rt.ab.firstErr()
+	if block != nil {
+		if err == nil {
+			postStart := time.Now()
+			rt.scatterMulti(l, block)
+			d := time.Since(postStart)
+			tr.PostTime += d
+			tr.TotalTime += d
+		}
+		rt.mnc = 0
+	}
+	if err != nil {
+		return err
+	}
+	tr.PreTime += pre
+	tr.TotalTime += pre
+	tr.setCounters(sumCounters(rt.counters))
+	rt.observeTuning(tr)
+	return nil
+}
+
+// reportFor starts the report of a run of l: the runtime's worker count and
+// policies, the loop's size, and order naming the execution order. The
+// driver and every Run variant build their report header with it.
+func (rt *Runtime) reportFor(l *Loop, order string) Report {
+	return Report{
+		Workers:     rt.opts.Workers,
+		Iterations:  l.N,
+		Order:       order,
+		WaitPolicy:  rt.opts.WaitStrategy.String(),
+		SchedPolicy: rt.opts.Policy.String(),
+	}
+}
+
+// fold accumulates one traversal's report t into the run's report r: phase
+// times, dependency counters and repair time add up, a repair or an
+// exploration in any traversal marks the run, and every other field (the
+// executor, its plan and the cost model's view) is the last traversal's.
+func (r *Report) fold(t Report) {
+	t.PreTime += r.PreTime
+	t.ExecTime += r.ExecTime
+	t.PostTime += r.PostTime
+	t.TotalTime += r.TotalTime
+	t.TrueDeps += r.TrueDeps
+	t.SelfDeps += r.SelfDeps
+	t.AntiOrNone += r.AntiOrNone
+	t.WaitPolls += r.WaitPolls
+	t.RepairNs += r.RepairNs
+	t.PlanRepaired = t.PlanRepaired || r.PlanRepaired
+	t.Explored = t.Explored || r.Explored
+	*r = t
+}
+
 // stampRepair moves a RepairPlans result pending for l onto the report of
-// l's run, once its executor is resolved. RunContext and every RunMulti block
-// call it, so the first run after a repair reports it whichever entry point
-// that run takes.
+// l's run, once its executor is resolved. Every traversal calls it, so the
+// first run after a repair reports it whichever entry point that run takes.
 func (rt *Runtime) stampRepair(l *Loop, rep *Report) {
 	if rt.pendingRepairLoop == l {
 		rep.PlanRepaired = true
@@ -637,28 +724,29 @@ type execCounters struct {
 
 // execBody arms a run — zeroes the per-worker counters and prepares (or
 // clears) the trace — and builds the per-position body every executor and
-// Run variant with a renaming buffer shares (the fused Run executors,
-// RunLinear and RunOracle). The returned closure runs one position of the
-// transformed loop: it maps the position through the
-// execution order, seeds ynew, runs the user body through the worker's
-// reusable Values, marks the written elements ready and accumulates the
-// worker's dependency counters — all through worker-indexed slots, so the
-// hot path stays allocation-free. Once the run is aborted, remaining
-// positions drain without executing their bodies; a failing body aborts the
-// run and leaves its elements unpublished (waiters are released through the
-// cancellable wait instead).
+// Run variant with a renaming buffer shares (the fused executors of scalar
+// runs and RunMulti blocks, RunLinear and RunOracle). The returned closure
+// runs one position of the transformed loop: it maps the position through
+// the execution order, seeds the written elements (an armed block's written
+// rows), runs the loop body — Body/BodyErr through the worker's reusable
+// Values, or BodyMulti through its MultiValues when a RunMulti block is
+// armed — marks the written elements ready and accumulates the worker's
+// dependency counters, all through worker-indexed slots, so the hot path
+// stays allocation-free. Once the run is aborted, remaining positions drain
+// without executing their bodies; a failing body aborts the run and leaves
+// its elements unpublished (waiters are released through the cancellable
+// wait instead).
 func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter) func(worker, pos int) {
 	for i := range rt.counters {
 		rt.counters[i] = execCounters{}
 	}
 	traceBase := rt.armTrace(l)
-	if rt.mc.nc > 0 {
-		// A RunMulti block is armed: every executor transparently runs the
-		// multi-RHS body against the block buffers instead (see multi.go).
-		return rt.execBodyMulti(l, tab, ready, traceBase)
-	}
 	order := rt.opts.Order
 	ab := &rt.ab
+	// Keep the closure's captures to these and the parameters: every
+	// captured value is loaded and spilled at each call, a measurable cost
+	// per position, so the run's mode (scalar or an armed block) is read
+	// from rt inside the body rather than captured.
 	return func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
@@ -672,23 +760,42 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 			start = time.Since(traceBase)
 		}
 		writes := l.Writes(i)
+		// A scalar run renames y through ynew; an armed block renames the
+		// element-major block buffers, one row of nc columns per element.
+		old, new, nc := y, rt.ynew, 1
+		s := &rt.vals[worker].iterState
+		if rt.mnc > 0 {
+			old, new, nc = rt.mold, rt.mnew, rt.mnc
+			s = &rt.mvals[worker].iterState
+		}
 		// Statement S2 of the paper's Figure 5: seed ynew(a(i)) with the old
-		// value so intra-iteration (self-dependence) reads observe the value
-		// the sequential loop would have seen before this iteration's write.
-		for _, e := range writes {
-			rt.ynew[e] = y[e]
+		// value (the old row, for a block) so intra-iteration
+		// (self-dependence) reads observe the value the sequential loop would
+		// have seen before this iteration's write.
+		if nc == 1 {
+			for _, e := range writes {
+				new[e] = old[e]
+			}
+		} else {
+			for _, e := range writes {
+				copy(new[e*nc:(e+1)*nc], old[e*nc:(e+1)*nc])
+			}
 		}
-		v := &rt.vals[worker]
-		v.reset(tab, ready, y, rt.ynew, i, rt.opts.WaitStrategy)
-		v.cancel = &ab.triggered
-		rt.armAccessCheck(v, l, worker, i, writes)
-		if err := l.run(i, v); err != nil {
-			ab.abort(err)
-			return
+		s.reset(tab, ready, old, new, i, rt.opts.WaitStrategy, &ab.triggered)
+		rt.armAccessCheck(s, l, worker, i, writes)
+		var err error
+		if rt.mnc > 0 {
+			l.BodyMulti(i, &rt.mvals[worker])
+			err = s.failErr
+		} else {
+			err = l.run(i, &rt.vals[worker])
 		}
-		if err := v.accessViolation(); err != nil {
+		if err == nil {
 			// An undeclared access aborts like a body error: the iteration's
 			// elements stay unpublished and the first violation wins.
+			err = s.accessViolation()
+		}
+		if err != nil {
 			ab.abort(err)
 			return
 		}
@@ -696,10 +803,10 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 			ready.Set(e)
 		}
 		c := &rt.counters[worker]
-		c.trueDeps += int64(v.truedeps)
-		c.selfDeps += int64(v.selfdeps)
-		c.antiOrNone += int64(v.antiOrNone)
-		c.waitPolls += int64(v.waits)
+		c.trueDeps += int64(s.truedeps)
+		c.selfDeps += int64(s.selfdeps)
+		c.antiOrNone += int64(s.antiOrNone)
+		c.waitPolls += int64(s.waits)
 		if rt.lastTrace != nil {
 			rt.lastTrace.Iterations[pos] = IterTrace{
 				Iteration: i,
@@ -707,8 +814,8 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 				Worker:    worker,
 				Start:     start,
 				End:       time.Since(traceBase),
-				WaitPolls: v.waits,
-				TrueDeps:  v.truedeps,
+				WaitPolls: s.waits,
+				TrueDeps:  s.truedeps,
 			}
 		}
 	}

@@ -36,13 +36,7 @@ func (rt *Runtime) RunBlockedContext(ctx context.Context, l *Loop, y []float64, 
 	if err := rt.checkRunArgs(l, y); err != nil {
 		return Report{}, err
 	}
-	rep := Report{
-		Workers:     rt.opts.Workers,
-		Iterations:  l.N,
-		WaitPolicy:  rt.opts.WaitStrategy.String(),
-		SchedPolicy: rt.opts.Policy.String(),
-		Order:       "blocked",
-	}
+	rep := rt.reportFor(l, "blocked")
 	start := time.Now()
 	for lo := 0; lo < l.N; lo += blockSize {
 		hi := lo + blockSize
@@ -140,7 +134,8 @@ func (t linearTable) Len() int        { return 0 }
 // 2.3: no inspector runs and no iter array is consulted; the dependency check
 // uses the closed-form subscript. The loop's Writes function must agree with
 // the subscript (Validate via Loop.Validate as usual). Postprocessing still
-// copies results back and resets the ready flags.
+// copies results back and resets the ready flags. Like every entry point it
+// serializes with the runtime's other runs.
 func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report, error) {
 	if sub.C == 0 {
 		return Report{}, fmt.Errorf("core: linear subscript requires C != 0")
@@ -153,13 +148,9 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 	if err := rt.checkRunArgs(l, y); err != nil {
 		return Report{}, err
 	}
-	rep := Report{
-		Workers:     rt.opts.Workers,
-		Iterations:  l.N,
-		WaitPolicy:  rt.opts.WaitStrategy.String(),
-		SchedPolicy: rt.opts.Policy.String(),
-		Order:       "linear-subscript",
-	}
+	rt.runMu.Lock()
+	defer rt.runMu.Unlock()
+	rep := rt.reportFor(l, "linear-subscript")
 	start := time.Now()
 	ab := &rt.ab
 	ab.arm(rt.wakeWaiters())
@@ -183,37 +174,34 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 // only correct for loops with no cross-iteration dependencies and exists as
 // the zero-overhead baseline the paper's odd-L efficiencies are measured
 // against. A body failure (BodyErr or Values.Fail) stops the remaining
-// iterations and is returned.
+// iterations and is returned. Like every entry point it serializes with the
+// runtime's other runs.
 func (rt *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 	if err := rt.checkRunArgs(l, y); err != nil {
 		return Report{}, err
 	}
-	rep := Report{
-		Workers:     rt.opts.Workers,
-		Iterations:  l.N,
-		Order:       "doall",
-		SchedPolicy: rt.opts.Policy.String(),
-	}
+	rt.runMu.Lock()
+	defer rt.runMu.Unlock()
+	rep := rt.reportFor(l, "doall")
 	ab := &rt.ab
 	ab.arm(nil)
 	start := time.Now()
-	v := make([]Values, rt.opts.Workers)
 	body := func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
 		}
-		vv := &v[worker]
-		vv.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy)
+		v := &rt.vals[worker]
+		v.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy, nil)
 		if rt.recs != nil {
 			// The doall baseline never consults Writes; fetch it only when
 			// the sanitizer needs the declared pattern.
-			rt.armAccessCheck(vv, l, worker, pos, l.Writes(pos))
+			rt.armAccessCheck(&v.iterState, l, worker, pos, l.Writes(pos))
 		}
-		if err := l.run(pos, vv); err != nil {
-			ab.abort(err)
-			return
+		err := l.run(pos, v)
+		if err == nil {
+			err = v.accessViolation()
 		}
-		if err := vv.accessViolation(); err != nil {
+		if err != nil {
 			ab.abort(err)
 		}
 	}
@@ -232,7 +220,8 @@ func (rt *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 // consulted and no inspector runs; reads always see the correct value because
 // writes still go through the ynew renaming buffer. It quantifies what the
 // execution-time checks of the preprocessed doacross cost relative to a
-// compile-time doacross that magically knows the dependencies.
+// compile-time doacross that magically knows the dependencies. Like every
+// entry point it serializes with the runtime's other runs.
 func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, error) {
 	if len(preds) != l.N {
 		return Report{}, fmt.Errorf("core: oracle dependency list has %d entries for %d iterations", len(preds), l.N)
@@ -246,13 +235,9 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 	if err := rt.checkRunArgs(l, y); err != nil {
 		return Report{}, err
 	}
-	rep := Report{
-		Workers:     rt.opts.Workers,
-		Iterations:  l.N,
-		Order:       "oracle",
-		WaitPolicy:  rt.opts.WaitStrategy.String(),
-		SchedPolicy: rt.opts.Policy.String(),
-	}
+	rt.runMu.Lock()
+	defer rt.runMu.Unlock()
+	rep := rt.reportFor(l, "oracle")
 	start := time.Now()
 	done := flags.NewReadyFlags(l.N)
 	if rt.opts.WaitStrategy == flags.WaitNotify {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"doacross/internal/depgraph"
@@ -313,5 +315,50 @@ func TestVariantsRejectReorderedRuntime(t *testing.T) {
 		// correct-length one is honored, so no rejection here — just make
 		// sure the BodyMulti requirement fires first.
 		t.Error("RunMulti without BodyMulti accepted")
+	}
+}
+
+// TestVariantsSerializeWithRuns runs RunContext and RunLinear concurrently on
+// one 2-worker runtime. Both use the runtime's abort state, counters,
+// per-worker Values, renaming buffer and ready flags, so the variant must
+// serialize on the run mutex like every entry point, and each goroutine's
+// results must equal the sequential loop's. Run it under -race.
+func TestVariantsSerializeWithRuns(t *testing.T) {
+	const n, runs = 2000, 50
+	l := chainLoop(n)
+	want := make([]float64, n)
+	mustRunSequential(t, l, want)
+	rt := NewRuntime(n, Options{Workers: 2, WaitStrategy: flags.WaitSpinYield})
+	defer rt.Close()
+	entries := map[string]func(y []float64) (Report, error){
+		"RunContext": func(y []float64) (Report, error) { return rt.RunContext(context.Background(), l, y) },
+		"RunLinear":  func(y []float64) (Report, error) { return rt.RunLinear(l, y, LinearSubscript{C: 1}) },
+	}
+	errs := make(chan error, len(entries))
+	var wg sync.WaitGroup
+	for name, run := range entries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := make([]float64, n)
+			for r := 0; r < runs; r++ {
+				clear(y)
+				if _, err := run(y); err != nil {
+					errs <- fmt.Errorf("%s run %d: %v", name, r, err)
+					return
+				}
+				for i := range y {
+					if y[i] != want[i] {
+						errs <- fmt.Errorf("%s run %d: y[%d] = %v, sequential %v", name, r, i, y[i], want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

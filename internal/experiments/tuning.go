@@ -365,3 +365,137 @@ func tDurationNs(wf, da time.Duration, executor string) int64 {
 	}
 	return da.Nanoseconds()
 }
+
+// TuningSettle is the tuning experiment's near-tie run on the paper's
+// workload: SPE2's lower factor at 2 workers with all three executors in
+// play. A tuned Auto runtime (exploration seed 6) starts from coefficients
+// that price barriers catastrophically, so run 0 picks the doacross, and
+// measured feedback and exploration take over for the remaining runs.
+// CheckTuningSettle bounds where it settles against the measured truth; that
+// bound is a host-timing claim, which is why it lives here and not in go
+// test (TestOnlineTuningSPE2Trisolve asserts the same run's deterministic
+// parts).
+type TuningSettle struct {
+	Workers, Runs, TruthReps int
+	// Truth is each executor's best executor-phase time over TruthReps
+	// fixed-executor runs; Fastest is the smallest of them.
+	Truth   map[string]time.Duration
+	Fastest time.Duration
+	// FirstPick is run 0's executor and Settled the last greedy (not
+	// explored) pick, empty if every run explored.
+	FirstPick string
+	Settled   string
+	// Plans is the number of plans the tuner tracks after the runs, Arms its
+	// per-executor state for the (single) plan.
+	Plans int
+	Arms  map[string]doacross.TuningArm
+}
+
+// tuningSettleCosts are the near-tie run's seed coefficients: barriers
+// priced at a millisecond pin run 0 to the doacross, and the claim cost keeps
+// the dynamic wavefront in the bandit.
+var tuningSettleCosts = doacross.AutoCosts{BarrierNs: 1e6, FlagCheckNs: 0.01, ClaimNs: 25}
+
+// RunTuningSettle measures the near-tie run: 2 workers, 6 truth repetitions
+// per executor and 40 tuned runs, whatever the command-line flags say.
+func RunTuningSettle() (TuningSettle, error) {
+	s := TuningSettle{Workers: 2, Runs: 40, TruthReps: 6, Truth: map[string]time.Duration{}}
+	lf, _, err := stencil.LowerFactor(stencil.SPE2, 1)
+	if err != nil {
+		return s, err
+	}
+	rhs := stencil.RHS(lf.N, 7)
+	loop, err := doacross.TrisolveLoop(lf, rhs)
+	if err != nil {
+		return s, err
+	}
+	y := make([]float64, lf.N)
+	// runs solves repeat times on rt, calling each with the run's report.
+	runs := func(rt *doacross.Runtime, repeat int, each func(doacross.Report)) error {
+		for r := 0; r < repeat; r++ {
+			copy(y, rhs)
+			rep, err := rt.Run(context.Background(), loop, y)
+			if err != nil {
+				return err
+			}
+			each(rep)
+		}
+		return nil
+	}
+
+	for _, kind := range []doacross.ExecutorKind{doacross.Doacross, doacross.Wavefront, doacross.WavefrontDynamic} {
+		rt, err := doacross.New(lf.N, doacross.WithWorkers(s.Workers), doacross.WithExecutor(kind))
+		if err != nil {
+			return s, err
+		}
+		err = runs(rt, s.TruthReps, func(rep doacross.Report) {
+			if best, ok := s.Truth[rep.Executor]; !ok || rep.ExecTime < best {
+				s.Truth[rep.Executor] = rep.ExecTime
+			}
+		})
+		rt.Close()
+		if err != nil {
+			return s, err
+		}
+	}
+	for _, d := range s.Truth {
+		if s.Fastest == 0 || d < s.Fastest {
+			s.Fastest = d
+		}
+	}
+
+	rt, err := doacross.New(lf.N,
+		doacross.WithWorkers(s.Workers),
+		doacross.WithExecutor(doacross.Auto),
+		doacross.WithOnlineTuning(doacross.TuningOptions{InitialCosts: tuningSettleCosts, Seed: 6}),
+	)
+	if err != nil {
+		return s, err
+	}
+	defer rt.Close()
+	err = runs(rt, s.Runs, func(rep doacross.Report) {
+		if s.FirstPick == "" {
+			s.FirstPick = rep.Executor
+		}
+		if !rep.Explored {
+			s.Settled = rep.Executor
+		}
+	})
+	if err != nil {
+		return s, err
+	}
+	snap := rt.TuningSnapshot()
+	s.Plans = len(snap.Plans)
+	if s.Plans > 0 {
+		p := snap.Plans[0]
+		s.Arms = map[string]doacross.TuningArm{
+			"doacross":          p.Doacross,
+			"wavefront":         p.Wavefront,
+			"wavefront-dynamic": p.WavefrontDynamic,
+		}
+	}
+	return s, nil
+}
+
+// String renders the near-tie run as one line under the recovery table.
+func (s TuningSettle) String() string {
+	return fmt.Sprintf("trisolve SPE2, all three executors, P=%d: truth (best of %d) doacross=%v wavefront=%v dynamic=%v; run 0 %s, settled on %q after %d runs, measured average %v\n",
+		s.Workers, s.TruthReps, s.Truth["doacross"], s.Truth["wavefront"], s.Truth["wavefront-dynamic"],
+		s.FirstPick, s.Settled, s.Runs, time.Duration(int64(s.Arms[s.Settled].EMANs)))
+}
+
+// CheckTuningSettle verifies the near-tie run's host-timing claim: the
+// executor the tuner settled on has a measured average within 1.5x of the
+// fastest executor's truth (close seconds among near-ties pass, a tuner stuck
+// on a catastrophic pick fails).
+func CheckTuningSettle(s TuningSettle) []string {
+	settled, ok := s.Arms[s.Settled]
+	if !ok || settled.Observations == 0 {
+		return []string{fmt.Sprintf("trisolve SPE2 P=%d: settled executor %q was never observed", s.Workers, s.Settled)}
+	}
+	if limit := 1.5 * float64(s.Fastest); settled.EMANs > limit {
+		return []string{fmt.Sprintf("trisolve SPE2 P=%d: tuner settled on %q with measured average %v, more than 1.5x the fastest executor's %v",
+			s.Workers, s.Settled, time.Duration(int64(settled.EMANs)), s.Fastest)}
+	}
+	return nil
+}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"doacross"
 )
 
 // TestCheckTuningClaims pins the claim logic on synthetic rows: a decisive
@@ -121,5 +123,36 @@ func TestRunTuningExperimentSmoke(t *testing.T) {
 	out := FormatTuning(rows)
 	if !strings.Contains(out, "chain n=512") || !strings.Contains(out, "trisolve SPE2") {
 		t.Errorf("format output missing workloads:\n%s", out)
+	}
+}
+
+// TestCheckTuningSettleClaims pins the near-tie bound on synthetic runs: a
+// settled executor within 1.5x of the fastest truth passes, one beyond it
+// fails, and a settled executor the tuner never observed fails.
+func TestCheckTuningSettleClaims(t *testing.T) {
+	s := TuningSettle{
+		Workers: 2, Runs: 40, TruthReps: 6,
+		Truth: map[string]time.Duration{
+			"doacross": 300 * time.Microsecond, "wavefront": 320 * time.Microsecond, "wavefront-dynamic": 540 * time.Microsecond,
+		},
+		Fastest: 300 * time.Microsecond, FirstPick: "doacross", Settled: "wavefront", Plans: 1,
+		Arms: map[string]doacross.TuningArm{
+			"doacross":          {Observations: 5, EMANs: 310_000},
+			"wavefront":         {Observations: 30, EMANs: 440_000},
+			"wavefront-dynamic": {Observations: 5, EMANs: 560_000},
+		},
+	}
+	if problems := CheckTuningSettle(s); len(problems) != 0 {
+		t.Fatalf("near-tie settle within 1.5x flagged: %v", problems)
+	}
+	stuck := s
+	stuck.Settled = "wavefront-dynamic"
+	if problems := CheckTuningSettle(stuck); len(problems) == 0 {
+		t.Errorf("settle at %v over a fastest %v not flagged", stuck.Arms["wavefront-dynamic"].EMANs, s.Fastest)
+	}
+	unobserved := s
+	unobserved.Settled = ""
+	if problems := CheckTuningSettle(unobserved); len(problems) == 0 {
+		t.Errorf("unobserved settled executor not flagged")
 	}
 }

@@ -167,3 +167,52 @@ func TestSolveMultiReportMatchesRunMulti(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmSolveAllocations pins what a warm solve allocates once its plan is
+// cached and its buffers are reused, on SPE2's lower factor under every fixed
+// executor at 1 and 2 workers: at most 8 allocations for Solve and 12 for a
+// 3-column SolveMulti. They are the per-run closures, barriers and report the
+// executors build (see core.Runtime); a per-run column wrapper or report copy
+// escaping to the heap would raise them.
+func TestWarmSolveAllocations(t *testing.T) {
+	const maxSolve, maxMulti = 8, 12
+	l, _, err := stencil.LowerFactor(stencil.SPE2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := stencil.RHS(l.N, 7)
+	B := [][]float64{stencil.RHS(l.N, 1), stencil.RHS(l.N, 2), stencil.RHS(l.N, 3)}
+	for _, kind := range []doacross.ExecutorKind{doacross.Doacross, doacross.Wavefront, doacross.WavefrontDynamic} {
+		for _, workers := range []int{1, 2} {
+			s, err := doacross.NewSolver(l, doacross.WithWorkers(workers), doacross.WithExecutor(kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := make([]float64, l.N)
+			Y := make([][]float64, len(B))
+			for c := range Y {
+				Y[c] = make([]float64, l.N)
+			}
+			solve := func() {
+				if _, _, err := s.Solve(rhs, y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			multi := func() {
+				if _, _, err := s.SolveMulti(B, Y); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm up both paths: the plan, the schedule and the block buffers.
+			solve()
+			multi()
+			if got := testing.AllocsPerRun(50, solve); got > maxSolve {
+				t.Errorf("%v at %d workers: warm Solve made %v allocations, want at most %d", kind, workers, got, maxSolve)
+			}
+			if got := testing.AllocsPerRun(50, multi); got > maxMulti {
+				t.Errorf("%v at %d workers: warm 3-column SolveMulti made %v allocations, want at most %d", kind, workers, got, maxMulti)
+			}
+			s.Close()
+		}
+	}
+}

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"doacross"
+	"doacross/internal/experiments"
 	"doacross/internal/machine"
-	"doacross/internal/stencil"
 	"doacross/internal/tune"
 )
 
@@ -215,117 +215,39 @@ func TestOnlineTuningConvergesOnChain(t *testing.T) {
 }
 
 // TestOnlineTuningSPE2Trisolve is the convergence acceptance test on the
-// paper's workload: forward substitution on the SPE2 factor. The executor
-// margins on SPE2 are thin and machine-dependent, so the test measures its
-// own ground truth — each executor's best time over fixed-executor runs —
-// and makes relaxed assertions: the tuned runtime must explore beyond its
-// deliberately mispriced seed, and whatever executor it settles on must have
-// a measured average within 1.5x of the truly fastest executor's time (a
-// tuner stuck on a catastrophic pick fails; close seconds among near-ties
-// pass).
+// paper's workload: forward substitution on the SPE2 factor at 2 workers
+// with all three executors in play, run by experiments.RunTuningSettle. The
+// tuned runtime starts from coefficients that price barriers
+// catastrophically, pinning the seed pick to the busy-wait doacross; measured
+// feedback and exploration must take over from there (seed 6 explores early,
+// at runs 2, 3, 8, ..., so all three arms get measured). The executor margins
+// on SPE2 are thin and machine-dependent, so the bound on where the tuner
+// settles (within 1.5x of the fastest executor's measured truth) is a
+// host-timing claim checked by doabench -experiment tuning -check; this test
+// keeps the run's deterministic claims.
 func TestOnlineTuningSPE2Trisolve(t *testing.T) {
-	const workers, truthReps, runs = 2, 6, 40
-	lf, _, err := stencil.LowerFactor(stencil.SPE2, 1)
+	s, err := experiments.RunTuningSettle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhs := stencil.RHS(lf.N, 7)
-	loop, err := doacross.TrisolveLoop(lf, rhs)
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("%s", s)
+	if s.FirstPick != "doacross" {
+		t.Fatalf("run 0 picked %q; the seed coefficients should pin it to doacross", s.FirstPick)
 	}
-
-	// Ground truth: best executor-phase time of each fixed executor.
-	bestNs := map[doacross.ExecutorKind]int64{}
-	for _, kind := range []doacross.ExecutorKind{doacross.Doacross, doacross.Wavefront, doacross.WavefrontDynamic} {
-		rt, err := doacross.New(lf.N, doacross.WithWorkers(workers), doacross.WithExecutor(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		y := make([]float64, lf.N)
-		for rep := 0; rep < truthReps; rep++ {
-			copy(y, rhs)
-			r, err := rt.Run(context.Background(), loop, y)
-			if err != nil {
-				rt.Close()
-				t.Fatal(err)
-			}
-			if ns := r.ExecTime.Nanoseconds(); bestNs[kind] == 0 || ns < bestNs[kind] {
-				bestNs[kind] = ns
-			}
-		}
-		rt.Close()
+	if s.Plans != 1 {
+		t.Fatalf("tuner tracks %d plans, want 1", s.Plans)
 	}
-	fastest := bestNs[doacross.Doacross]
-	for _, ns := range bestNs {
-		if ns < fastest {
-			fastest = ns
-		}
-	}
-	t.Logf("SPE2 ground truth (best of %d): doacross=%v wavefront=%v dynamic=%v",
-		truthReps,
-		time.Duration(bestNs[doacross.Doacross]),
-		time.Duration(bestNs[doacross.Wavefront]),
-		time.Duration(bestNs[doacross.WavefrontDynamic]))
-
-	// The tuned runtime starts from coefficients that price barriers
-	// catastrophically, pinning the seed pick to the busy-wait doacross;
-	// measured feedback and exploration must take over from there. Seed 6
-	// explores early (runs 2, 3, 8, ...), so all three arms get measured.
-	rt, err := doacross.New(lf.N,
-		doacross.WithWorkers(workers),
-		doacross.WithExecutor(doacross.Auto),
-		doacross.WithOnlineTuning(doacross.TuningOptions{
-			InitialCosts: doacross.AutoCosts{BarrierNs: 1e6, FlagCheckNs: 0.01, ClaimNs: 25},
-			Seed:         6,
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	y := make([]float64, lf.N)
-	lastGreedy := ""
-	for r := 0; r < runs; r++ {
-		copy(y, rhs)
-		rep, err := rt.Run(context.Background(), loop, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == 0 && rep.Executor != "doacross" {
-			t.Fatalf("run 0 picked %q; the seed coefficients should pin it to doacross", rep.Executor)
-		}
-		if !rep.Explored {
-			lastGreedy = rep.Executor
-		}
-	}
-	snap := rt.TuningSnapshot()
-	if len(snap.Plans) != 1 {
-		t.Fatalf("tuner tracks %d plans, want 1", len(snap.Plans))
-	}
-	p := snap.Plans[0]
 	observedArms := 0
-	for _, arm := range []doacross.TuningArm{p.Doacross, p.Wavefront, p.WavefrontDynamic} {
+	for _, arm := range s.Arms {
 		if arm.Observations > 0 {
 			observedArms++
 		}
 	}
 	if observedArms < 3 {
-		t.Errorf("exploration measured only %d of 3 executors: %+v", observedArms, p)
+		t.Errorf("exploration measured only %d of 3 executors: %+v", observedArms, s.Arms)
 	}
-
-	settled := map[string]doacross.TuningArm{
-		"doacross":          p.Doacross,
-		"wavefront":         p.Wavefront,
-		"wavefront-dynamic": p.WavefrontDynamic,
-	}[lastGreedy]
-	if settled.Observations == 0 {
-		t.Fatalf("settled executor %q was never observed: %+v", lastGreedy, p)
-	}
-	if limit := 1.5 * float64(fastest); settled.EMANs > limit {
-		t.Errorf("tuner settled on %q with measured average %v, more than 1.5x the fastest executor's %v",
-			lastGreedy, time.Duration(int64(settled.EMANs)), time.Duration(fastest))
+	if s.Arms[s.Settled].Observations == 0 {
+		t.Fatalf("settled executor %q was never observed: %+v", s.Settled, s.Arms)
 	}
 }
 
