@@ -35,6 +35,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,23 +46,42 @@ import (
 )
 
 func main() {
+	violations, err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if violations > 0 {
+		fmt.Fprintf(os.Stderr, "%d qualitative claims violated\n", violations)
+		os.Exit(2)
+	}
+}
+
+// run parses args, runs the selected experiments and writes their tables to
+// stdout. It returns the number of qualitative-claim violations -check found
+// (zero without -check); an unknown experiment name, a failed experiment or
+// an unwritable -json file is an error, and no later experiment runs.
+func run(args []string, stdout io.Writer) (violations int, err error) {
+	fs := flag.NewFlagSet("doabench", flag.ExitOnError)
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated subset of fig6 | table1 | overhead | blocked | linear | ordering | sweep | executors | live | serving | repair | tuning | all")
-		procs      = flag.Int("procs", experiments.PaperProcessors, "simulated processor count")
-		n          = flag.Int("n", 10000, "Figure 6 outer iteration count")
-		seed       = flag.Int64("seed", 1, "seed for the synthetic SPE operators")
-		check      = flag.Bool("check", false, "verify the paper's qualitative claims and fail if violated")
-		liveReps   = flag.Int("live-reps", 3, "repetitions for live measurements")
-		format     = flag.String("format", "text", "output format for fig6/table1/sweep: text | markdown | csv")
+		experiment = fs.String("experiment", "all", "comma-separated subset of fig6 | table1 | overhead | blocked | linear | ordering | sweep | executors | live | serving | repair | tuning | all")
+		procs      = fs.Int("procs", experiments.PaperProcessors, "simulated processor count")
+		n          = fs.Int("n", 10000, "Figure 6 outer iteration count")
+		seed       = fs.Int64("seed", 1, "seed for the synthetic SPE operators")
+		check      = fs.Bool("check", false, "verify the paper's qualitative claims and fail if violated")
+		liveReps   = fs.Int("live-reps", 3, "repetitions for live measurements")
+		format     = fs.String("format", "text", "output format for fig6/table1/sweep: text | markdown | csv")
 		// The default deliberately differs from the committed baseline
 		// (BENCH_results.json) so a partial experiment run cannot silently
 		// clobber it; regenerating the baseline is an explicit -json.
-		jsonPath    = flag.String("json", "BENCH_results.new.json", "write machine-readable results of the live/executors experiments here (empty disables)")
-		liveWorkers = flag.String("workers", "", "comma-separated worker counts for the executors sweep (first entry also pins the serving solver; default: derived from GOMAXPROCS)")
-		executors   = flag.String("executors", "", "comma-separated executors for the executors sweep: doacross | wavefront | wavefront-dynamic | auto (default: all)")
-		callers     = flag.String("callers", "4,16", "comma-separated concurrent caller counts for the serving experiment")
+		jsonPath    = fs.String("json", "BENCH_results.new.json", "write machine-readable results of the live/executors experiments here (empty disables)")
+		liveWorkers = fs.String("workers", "", "comma-separated worker counts for the executors sweep (first entry also pins the serving solver; default: derived from GOMAXPROCS)")
+		executors   = fs.String("executors", "", "comma-separated executors for the executors sweep: doacross | wavefront | wavefront-dynamic | auto (default: all)")
+		callers     = fs.String("callers", "4,16", "comma-separated concurrent caller counts for the serving experiment")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 0, err
+	}
 
 	validExperiments := []string{"fig6", "table1", "overhead", "blocked", "linear", "ordering", "sweep", "executors", "live", "serving", "repair", "tuning", "all"}
 	selected := make(map[string]bool)
@@ -75,38 +95,36 @@ func main() {
 			}
 		}
 		if !known {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", name, strings.Join(validExperiments, ", "))
-			os.Exit(1)
+			return 0, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(validExperiments, ", "))
 		}
 		selected[name] = true
 	}
 
-	failures := 0
 	var benchRecords []experiments.BenchRecord
-	run := func(name string, f func() (string, []string, error)) {
-		if !selected["all"] && !selected[name] {
+	step := func(name string, f func() (string, []string, error)) {
+		if err != nil || !selected["all"] && !selected[name] {
 			return
 		}
-		out, problems, err := f()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+		out, problems, ferr := f()
+		if ferr != nil {
+			err = fmt.Errorf("%s: %w", name, ferr)
+			return
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 		if *check {
 			if len(problems) == 0 {
-				fmt.Printf("[check] %s: all qualitative claims reproduced\n\n", name)
+				fmt.Fprintf(stdout, "[check] %s: all qualitative claims reproduced\n\n", name)
 			} else {
 				for _, p := range problems {
-					fmt.Printf("[check] %s: VIOLATION: %s\n", name, p)
+					fmt.Fprintf(stdout, "[check] %s: VIOLATION: %s\n", name, p)
 				}
-				fmt.Println()
-				failures += len(problems)
+				fmt.Fprintln(stdout)
+				violations += len(problems)
 			}
 		}
 	}
 
-	run("fig6", func() (string, []string, error) {
+	step("fig6", func() (string, []string, error) {
 		cfg := experiments.DefaultFigure6Config()
 		cfg.N = *n
 		cfg.Processors = *procs
@@ -121,7 +139,7 @@ func main() {
 		return out, res.CheckShape(), nil
 	})
 
-	run("table1", func() (string, []string, error) {
+	step("table1", func() (string, []string, error) {
 		cfg := experiments.DefaultTable1Config()
 		cfg.Processors = *procs
 		cfg.Seed = *seed
@@ -136,7 +154,7 @@ func main() {
 		return out, res.CheckShape(), nil
 	})
 
-	run("overhead", func() (string, []string, error) {
+	step("overhead", func() (string, []string, error) {
 		rows, err := experiments.RunOverheadAblation(*n, []int{1, 5}, *procs)
 		if err != nil {
 			return "", nil, err
@@ -144,7 +162,7 @@ func main() {
 		return experiments.FormatOverhead(rows), nil, nil
 	})
 
-	run("blocked", func() (string, []string, error) {
+	step("blocked", func() (string, []string, error) {
 		tc := testloop.Config{N: *n, M: 1, L: 12}
 		rows, err := experiments.RunBlockedAblation(tc, []int{125, 250, 500, 1000, 2500, 5000, *n}, *procs)
 		if err != nil {
@@ -153,7 +171,7 @@ func main() {
 		return experiments.FormatBlocked(rows), nil, nil
 	})
 
-	run("linear", func() (string, []string, error) {
+	step("linear", func() (string, []string, error) {
 		rows, err := experiments.RunLinearAblation(*n, 1, []int{1, 4, 8, 12, 14}, *procs)
 		if err != nil {
 			return "", nil, err
@@ -161,7 +179,7 @@ func main() {
 		return experiments.FormatLinear(rows), nil, nil
 	})
 
-	run("ordering", func() (string, []string, error) {
+	step("ordering", func() (string, []string, error) {
 		rows, err := experiments.RunOrderingAblation(stencil.Problems, *procs, *seed)
 		if err != nil {
 			return "", nil, err
@@ -169,7 +187,7 @@ func main() {
 		return experiments.FormatOrdering(rows), nil, nil
 	})
 
-	run("sweep", func() (string, []string, error) {
+	step("sweep", func() (string, []string, error) {
 		var out strings.Builder
 		var problems []string
 		emit := func(s experiments.SweepResult) error {
@@ -201,7 +219,7 @@ func main() {
 		return out.String(), problems, nil
 	})
 
-	run("executors", func() (string, []string, error) {
+	step("executors", func() (string, []string, error) {
 		workers := experiments.DefaultLiveWorkers()
 		sweep := []int{workers}
 		if workers > 2 {
@@ -232,7 +250,7 @@ func main() {
 		return experiments.FormatExecutorSweep(rows), experiments.CheckExecutorSweep(rows), nil
 	})
 
-	run("live", func() (string, []string, error) {
+	step("live", func() (string, []string, error) {
 		workers := experiments.DefaultLiveWorkers()
 		var results []experiments.LiveResult
 		for _, tc := range []testloop.Config{
@@ -277,7 +295,7 @@ func main() {
 		return experiments.FormatLive(results), experiments.CheckLive(results, scaling), nil
 	})
 
-	run("serving", func() (string, []string, error) {
+	step("serving", func() (string, []string, error) {
 		workers := experiments.DefaultLiveWorkers()
 		if *liveWorkers != "" {
 			first := strings.Split(*liveWorkers, ",")[0]
@@ -309,7 +327,7 @@ func main() {
 		return experiments.FormatServing(results), experiments.CheckServing(results), nil
 	})
 
-	run("repair", func() (string, []string, error) {
+	step("repair", func() (string, []string, error) {
 		workers := experiments.DefaultLiveWorkers()
 		sweep := []int{workers}
 		if workers > 1 {
@@ -334,7 +352,7 @@ func main() {
 		return experiments.FormatRepair(rows), experiments.CheckRepair(rows), nil
 	})
 
-	run("tuning", func() (string, []string, error) {
+	step("tuning", func() (string, []string, error) {
 		workers := experiments.DefaultLiveWorkers()
 		if workers > 4 {
 			// A chain run under the busy-wait doacross spins every worker; past
@@ -369,16 +387,14 @@ func main() {
 			append(experiments.CheckTuning(rows), experiments.CheckTuningSettle(settle)...), nil
 	})
 
+	if err != nil {
+		return 0, err
+	}
 	if *jsonPath != "" && len(benchRecords) > 0 {
 		if err := experiments.WriteBenchJSON(*jsonPath, benchRecords); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			return 0, fmt.Errorf("writing %s: %w", *jsonPath, err)
 		}
-		fmt.Printf("wrote %d machine-readable records to %s\n", len(benchRecords), *jsonPath)
+		fmt.Fprintf(stdout, "wrote %d machine-readable records to %s\n", len(benchRecords), *jsonPath)
 	}
-
-	if *check && failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d qualitative claims violated\n", failures)
-		os.Exit(2)
-	}
+	return violations, nil
 }

@@ -420,11 +420,10 @@ func TestReorderedExecutionMatchesSequential(t *testing.T) {
 		}
 	}
 	l := figure1Loop(a, b, n+1)
-	g := depgraph.BuildFromWriterIndex(n, a, func(i int) []int { return b[i : i+1] })
-	_, byLevel := g.Levels()
+	g := depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return a[i : i+1] }, Reads: func(i int) []int { return b[i : i+1] }})
 	var order []int
-	for _, lvl := range byLevel {
-		order = append(order, lvl...)
+	for _, it := range g.LevelsInto(nil).Members {
+		order = append(order, int(it))
 	}
 	if !g.IsTopologicalOrder(order) {
 		t.Fatal("level order is not topological")

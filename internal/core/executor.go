@@ -243,9 +243,10 @@ func (p *wavefrontPlan) staticSchedule(policy sched.Policy) *sched.LevelSchedule
 // classifier.
 func (p *wavefrontPlan) table() writerTable { return planTable{p.writer} }
 
-// planTable classifies reads against the plan's dense writer index; it is
-// the wavefront analogue of the doacross iter table, filled once at plan
-// time instead of once per run.
+// planTable classifies reads against a dense writer index (writer[e] is the
+// iteration writing element e, -1 if none). For a wavefront plan it is the
+// analogue of the doacross iter table, filled once at plan time instead of
+// once per run; RunOracle fills one before its run.
 type planTable struct{ writer []int32 }
 
 func (t planTable) Classify(e, i int) (flags.Dependence, int64) {
@@ -390,10 +391,7 @@ func (rt *Runtime) buildPlan(l *Loop) (*wavefrontPlan, error) {
 	if p < 1 {
 		p = 1
 	}
-	chunk := rt.opts.Chunk
-	if chunk < 1 {
-		chunk = sched.DefaultChunk
-	}
+	chunk := rt.chunk()
 	stats := InspectStats{
 		Iterations:      l.N,
 		Edges:           g.Edges,
@@ -512,12 +510,9 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	body := rt.execBody(l, y, tab, ready)
 
 	dynamic := rt.opts.Policy == sched.Dynamic
-	chunk := rt.opts.Chunk
-	if chunk < 1 {
-		chunk = sched.DefaultChunk
-	}
+	chunk := rt.chunk()
 	var next atomic.Int64
-	var s *sched.Schedule
+	var s *sched.LevelSchedule
 	if !dynamic {
 		s = rt.schedule(l.N)
 	}
@@ -544,9 +539,9 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 		rt.guard("loop body", func() {
 			if dynamic {
 				sched.DynamicLoop(&next, l.N, chunk, w, body, stop)
-			} else if w < len(s.PerWorker) {
-				for _, pos := range s.PerWorker[w] {
-					body(w, pos)
+			} else {
+				for _, pos := range s.Items(0, w) {
+					body(w, int(pos))
 				}
 			}
 		})
@@ -644,10 +639,7 @@ func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 
 	body := rt.execBody(l, y, plan.table(), levelReady{})
 
-	chunk := rt.opts.Chunk
-	if chunk < 1 {
-		chunk = sched.DefaultChunk
-	}
+	chunk := rt.chunk()
 	k := plan.workers
 	ab := &rt.ab
 	bar := phaseBarrier{n: int32(k)}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -555,6 +556,40 @@ func TestWavefrontCancellationMidLevel(t *testing.T) {
 				t.Fatalf("trial %d %v: scratch dirty after aborts", trial, exec)
 			}
 			rt.Close()
+		}
+	}
+}
+
+// TestCancelInLastIterationFails cancels a run's context inside the last
+// iteration of a chain, under every executor at one and two workers. The
+// context is done when the workers drain, so every run must fail with the
+// context's error. Whether the watcher observes the cancellation before the
+// run ends is up to the scheduler, so each configuration runs 300 times.
+func TestCancelInLastIterationFails(t *testing.T) {
+	const n, runs = 64, 300
+	chain := chainLoop(n)
+	for _, exec := range []ExecutorKind{ExecDoacross, ExecWavefront, ExecWavefrontDynamic} {
+		for _, workers := range []int{1, 2} {
+			rt := NewRuntime(n, Options{Workers: workers, Executor: exec})
+			failed := 0
+			for run := 0; run < runs; run++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				l := *chain
+				l.Body = func(i int, v *Values) {
+					if i == n-1 {
+						cancel()
+					}
+					chain.Body(i, v)
+				}
+				if _, err := rt.RunContext(ctx, &l, make([]float64, n)); errors.Is(err, context.Canceled) {
+					failed++
+				}
+				cancel()
+			}
+			rt.Close()
+			if failed != runs {
+				t.Errorf("%v, %d workers: %d of %d runs cancelled in their last iteration failed with context.Canceled", exec, workers, failed, runs)
+			}
 		}
 	}
 }

@@ -254,10 +254,7 @@ func (rt *Runtime) patchPlanStats(plan *wavefrontPlan, res depgraph.RepairResult
 	if p < 1 {
 		p = 1
 	}
-	chunk := rt.opts.Chunk
-	if chunk < 1 {
-		chunk = sched.DefaultChunk
-	}
+	chunk := rt.chunk()
 	st.ScheduleRounds, st.DynamicClaims = 0, 0
 	for lvl := 0; lvl < levels; lvl++ {
 		w := int(ls.Off[lvl+1] - ls.Off[lvl])

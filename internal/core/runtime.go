@@ -183,9 +183,9 @@ type Runtime struct {
 	// Options.AccessCheck is set, which is what keeps the sanitizer off the
 	// unchecked hot path entirely.
 	recs []accessRecorder
-	// memoized static schedule: rebuilding the position lists is O(N) per
-	// Run, which dominates repeated small-N runs.
-	memoSched *sched.Schedule
+	// memoized static position schedule: rebuilding the position lists is
+	// O(N) per Run, which dominates repeated small-N runs.
+	memoSched *sched.LevelSchedule
 	memoN     int
 
 	// lastTrace holds the per-iteration trace of the most recent Run when
@@ -366,14 +366,23 @@ func (rt *Runtime) invalidateLocked() {
 	rt.recordPlan(PlanInvalidated)
 }
 
-// schedule returns the static schedule for n positions, rebuilding it only
-// when n changes between runs.
-func (rt *Runtime) schedule(n int) *sched.Schedule {
+// schedule returns the static position schedule for n positions, rebuilding
+// it only when n changes between runs.
+func (rt *Runtime) schedule(n int) *sched.LevelSchedule {
 	if rt.memoSched == nil || rt.memoN != n {
-		rt.memoSched = sched.Build(rt.opts.Policy, n, rt.opts.Workers)
+		rt.memoSched = sched.NewPositionSchedule(n, rt.opts.Policy, rt.opts.Workers)
 		rt.memoN = n
 	}
 	return rt.memoSched
+}
+
+// chunk returns the dynamic claim size: Options.Chunk, or
+// sched.DefaultChunk when it is unset.
+func (rt *Runtime) chunk() int {
+	if rt.opts.Chunk < 1 {
+		return sched.DefaultChunk
+	}
+	return rt.opts.Chunk
 }
 
 // table and waiter return the active scratch structures behind small adapter
@@ -472,7 +481,9 @@ func (rt *Runtime) wakeWaiters() func() {
 // starts a watcher goroutine that aborts the run the moment ctx is done. The
 // returned stop function must be called (exactly once) after the run's
 // workers have drained; it joins the watcher so the abort state can be
-// safely reused by the next run.
+// safely reused by the next run. A ctx done by then fails the run with
+// ctx.Err() even when the watcher took the stop first, so a run cancelled in
+// its last iteration never reports success.
 func (rt *Runtime) watchContext(ctx context.Context) (stop func()) {
 	rt.ab.arm(rt.wakeWaiters())
 	done := ctx.Done()
@@ -492,6 +503,9 @@ func (rt *Runtime) watchContext(ctx context.Context) (stop func()) {
 	return func() {
 		close(quit)
 		<-exited
+		if err := ctx.Err(); err != nil {
+			rt.ab.abort(err)
+		}
 	}
 }
 

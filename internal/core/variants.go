@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"doacross/internal/flags"
@@ -246,14 +247,14 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 	// The oracle executor needs the new values visible to dependent reads; a
 	// per-element copy into y after all predecessors finish would race, so it
 	// uses the same old/new renaming but classifies reads with a precomputed
-	// writer index.
-	writerOf := make([]int64, l.Data)
-	for e := range writerOf {
-		writerOf[e] = flags.MaxInt
+	// dense writer index, as a wavefront plan does.
+	writer := make([]int32, l.Data)
+	for e := range writer {
+		writer[e] = -1
 	}
 	for i := 0; i < l.N; i++ {
 		for _, e := range l.Writes(i) {
-			writerOf[e] = int64(i)
+			writer[e] = int32(i)
 		}
 	}
 	ab := &rt.ab
@@ -265,7 +266,7 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 		done.WakeAll()
 	})
 
-	iteration := rt.execBody(l, y, oracleTable{writer: writerOf}, rt.waiter())
+	iteration := rt.execBody(l, y, planTable{writer}, rt.waiter())
 	rt.runPositions(l.N, func(worker, i int) {
 		for _, p := range preds[i] {
 			if _, ok := done.WaitCancel(int(p), rt.opts.WaitStrategy, &ab.triggered); !ok {
@@ -292,13 +293,22 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 
 // runPositions runs body over positions 0..n-1 on the pool under the
 // runtime's scheduling policy: self-scheduled chunks for Dynamic, the memoized
-// static schedule otherwise.
+// static position schedule otherwise. It wakes no more workers than there are
+// positions.
 func (rt *Runtime) runPositions(n int, body func(worker, pos int)) {
+	k := min(rt.opts.Workers, n)
 	if rt.opts.Policy == sched.Dynamic {
-		rt.pool.RunDynamic(n, rt.opts.Chunk, body)
-	} else {
-		rt.pool.RunSchedule(rt.schedule(n), body)
+		chunk := rt.chunk()
+		var next atomic.Int64
+		rt.pool.Submit(k, func(w int) { sched.DynamicLoop(&next, n, chunk, w, body, nil) })
+		return
 	}
+	s := rt.schedule(n)
+	rt.pool.Submit(k, func(w int) {
+		for _, pos := range s.Items(0, w) {
+			body(w, int(pos))
+		}
+	})
 }
 
 // copyBackReady is the postprocessing phase of the variants without an
@@ -322,25 +332,3 @@ func (rt *Runtime) copyBackReady(l *Loop, y []float64) {
 		rt.eReady.Advance()
 	}
 }
-
-// oracleTable classifies reads against a precomputed writer index (no
-// inspector, no waiting decision — waits are done on whole predecessor
-// iterations before the body runs).
-type oracleTable struct{ writer []int64 }
-
-func (t oracleTable) Classify(e, i int) (flags.Dependence, int64) {
-	w := t.writer[e]
-	switch {
-	case w < int64(i):
-		if w == flags.MaxInt {
-			return flags.AntiOrNone, w
-		}
-		return flags.TrueDep, w
-	case w == int64(i):
-		return flags.SelfDep, w
-	default:
-		return flags.AntiOrNone, w
-	}
-}
-func (t oracleTable) Record(e, i int) {}
-func (t oracleTable) Len() int        { return len(t.writer) }

@@ -9,6 +9,7 @@ import (
 
 	"doacross/internal/depgraph"
 	"doacross/internal/flags"
+	"doacross/internal/sched"
 	"doacross/internal/sparse"
 )
 
@@ -258,6 +259,67 @@ func TestLinearAndOracleCollectTrace(t *testing.T) {
 		for pos, it := range tr.Iterations {
 			if it.Iteration != pos || it.Position != pos || it.Worker < 0 || it.Worker >= 3 || it.End < it.Start {
 				t.Fatalf("%s: trace entry %d = %+v", tc.name, pos, it)
+			}
+		}
+	}
+}
+
+// TestVariantsUnderEveryPolicy runs the inspector-free variants, which submit
+// their positions to the pool directly — RunLinear, RunOracle and RunDoall —
+// under every scheduling policy (Dynamic both at the default chunk, Chunk 0,
+// and at an explicit one) and at worker counts below and above the iteration
+// count, and checks each against the sequential loop.
+func TestVariantsUnderEveryPolicy(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{5, 90} {
+		b := make([]int, n)
+		for i := range b {
+			b[i] = rng.Intn(n)
+		}
+		sub := LinearSubscript{C: 1, D: 0}
+		l := &Loop{
+			N: n, Data: n,
+			Writes: sub.WritesFunc(),
+			Reads:  func(i int) []int { return b[i : i+1] },
+			Body:   func(i int, v *Values) { v.Store(i, v.Load(b[i])+float64(i)) },
+		}
+		doall := &Loop{N: n, Data: n, Writes: sub.WritesFunc(), Body: func(i int, v *Values) { v.Store(i, 2*v.Load(i)+1) }}
+		preds := depgraph.Build(depgraph.Access{N: n, Writes: l.Writes, Reads: l.Reads}).Preds
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		seq := append([]float64(nil), y...)
+		mustRunSequential(t, l, seq)
+		seqDoall := append([]float64(nil), y...)
+		mustRunSequential(t, doall, seqDoall)
+
+		for _, cfg := range []struct {
+			policy sched.Policy
+			chunk  int
+		}{{sched.Block, 0}, {sched.Cyclic, 0}, {sched.Dynamic, 0}, {sched.Dynamic, 3}} {
+			for _, workers := range []int{1, 3, 8} {
+				rt := NewRuntime(n, Options{Workers: workers, Policy: cfg.policy, Chunk: cfg.chunk, WaitStrategy: flags.WaitSpinYield})
+				for name, run := range map[string]func(y []float64) error{
+					"linear": func(y []float64) error { _, err := rt.RunLinear(l, y, sub); return err },
+					"oracle": func(y []float64) error { _, err := rt.RunOracle(l, y, preds); return err },
+				} {
+					par := append([]float64(nil), y...)
+					if err := run(par); err != nil {
+						t.Fatalf("n=%d %v chunk %d P=%d %s: %v", n, cfg.policy, cfg.chunk, workers, name, err)
+					}
+					if d := sparse.VecMaxDiff(seq, par); d != 0 {
+						t.Fatalf("n=%d %v chunk %d P=%d %s: mismatch %v", n, cfg.policy, cfg.chunk, workers, name, d)
+					}
+				}
+				par := append([]float64(nil), y...)
+				if _, err := rt.RunDoall(doall, par); err != nil {
+					t.Fatalf("n=%d %v chunk %d P=%d doall: %v", n, cfg.policy, cfg.chunk, workers, err)
+				}
+				if d := sparse.VecMaxDiff(seqDoall, par); d != 0 {
+					t.Fatalf("n=%d %v chunk %d P=%d doall: mismatch %v", n, cfg.policy, cfg.chunk, workers, d)
+				}
+				rt.Close()
 			}
 		}
 	}

@@ -14,7 +14,6 @@ package depgraph
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Access describes the data elements touched by each iteration of a loop.
@@ -40,44 +39,23 @@ type Graph struct {
 	Edges int
 }
 
-// Build constructs the true-dependency graph of the access pattern. Duplicate
-// edges (an iteration reading several elements produced by the same earlier
-// iteration) are collapsed.
+// Build constructs the true-dependency graph of the access pattern: it fills
+// a dense writer index from Writes (elements are non-negative, as
+// core.Loop.Validate requires; the last writer of an element wins) and runs
+// the predecessor scan of BuildParallelFromWriterIndex sequentially over it.
+// Duplicate edges (an iteration reading several elements produced by the same
+// earlier iteration) are collapsed.
 func Build(a Access) *Graph {
-	writer := make(map[int]int32)
-	maxElem := -1
+	var writer []int32
 	for i := 0; i < a.N; i++ {
 		for _, e := range a.Writes(i) {
-			if e > maxElem {
-				maxElem = e
+			for len(writer) <= e {
+				writer = append(writer, -1)
 			}
 			writer[e] = int32(i)
 		}
 	}
-	g := &Graph{
-		N:     a.N,
-		Preds: make([][]int32, a.N),
-		Succs: make([][]int32, a.N),
-	}
-	for i := 0; i < a.N; i++ {
-		var preds []int32
-		for _, e := range a.Reads(i) {
-			j, ok := writer[e]
-			if !ok || int(j) >= i {
-				// Not written, self dependence, or anti-dependence
-				// (removed by renaming).
-				continue
-			}
-			preds = append(preds, j)
-		}
-		preds = dedupSorted(preds)
-		g.Preds[i] = preds
-		g.Edges += len(preds)
-		for _, j := range preds {
-			g.Succs[j] = append(g.Succs[j], int32(i))
-		}
-	}
-	return g
+	return BuildParallelFromWriterIndex(a.N, writer, a.Reads, nil)
 }
 
 // FromPreds reconstructs a graph from per-iteration predecessor lists (the
@@ -99,56 +77,18 @@ func FromPreds(preds [][]int32) *Graph {
 	return g
 }
 
-// BuildFromWriterIndex constructs the graph for the common single-write case
-// where iteration i writes exactly element write[i] and reads the elements
-// reads(i). It avoids the closure allocation of Build for large loops.
-func BuildFromWriterIndex(n int, write []int, reads func(i int) []int) *Graph {
-	return Build(Access{
-		N:      n,
-		Writes: func(i int) []int { return write[i : i+1] },
-		Reads:  reads,
-	})
-}
-
-// BuildParallel constructs the same graph as Build but distributes the two
-// expensive passes — filling the dense writer index and computing each
-// iteration's predecessor list — with the supplied parallel-for runner, so the
-// inspector cost of a wavefront executor shrinks with the number of workers.
+// BuildParallelFromWriterIndex is the one predecessor scan behind every
+// graph: given the dense writer index (writer[e] = the iteration writing
+// element e, -1 for unwritten elements), iteration i depends on the writer of
+// each element it reads when that writer precedes i. Reads outside the index
+// or of unwritten elements, self and anti-dependencies add no edge. The
+// wavefront inspector fills the index anyway for its execution-time
+// dependency checks and shares it here instead of building it twice.
 //
-// dataLen bounds the data elements the access pattern may touch (elements are
-// in [0, dataLen)); it replaces Build's writer map with a dense array, which
-// is what makes the fill parallelizable. parallelFor must run body(i) for
+// parallelFor distributes the per-iteration scans: it must run body(i) for
 // every i in [0, n), possibly concurrently, and return only once all calls
 // have finished — sched.Pool.ParallelFor satisfies the contract. A nil
-// parallelFor runs both passes sequentially.
-//
-// The access pattern must be free of output dependencies (no element written
-// by two different iterations, the preprocessed doacross precondition);
-// otherwise the concurrent writer-index fill would race.
-func BuildParallel(a Access, dataLen int, parallelFor func(n int, body func(i int))) *Graph {
-	if parallelFor == nil {
-		parallelFor = func(n int, body func(i int)) {
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-		}
-	}
-	writer := make([]int32, dataLen)
-	parallelFor(dataLen, func(e int) { writer[e] = -1 })
-	parallelFor(a.N, func(i int) {
-		for _, e := range a.Writes(i) {
-			writer[e] = int32(i)
-		}
-	})
-	return BuildParallelFromWriterIndex(a.N, writer, a.Reads, parallelFor)
-}
-
-// BuildParallelFromWriterIndex is BuildParallel for callers that already hold
-// the dense writer index (writer[e] = the iteration writing element e, -1 for
-// unwritten elements) — the wavefront inspector fills that index anyway for
-// its execution-time dependency checks and shares it here instead of building
-// it twice. parallelFor follows the BuildParallel contract; nil runs
-// sequentially.
+// parallelFor runs the scans sequentially (Build's front end).
 func BuildParallelFromWriterIndex(n int, writer []int32, reads func(i int) []int, parallelFor func(n int, body func(i int))) *Graph {
 	if parallelFor == nil {
 		parallelFor = func(n int, body func(i int)) {
@@ -203,44 +143,12 @@ func dedupSorted(xs []int32) []int32 {
 	return out
 }
 
-// Levels computes the wavefront (level-set) decomposition of the graph:
-// level[i] = 0 when iteration i has no predecessors, otherwise
-// 1 + max(level of predecessors). Iterations within the same level can run
-// concurrently. The second result groups iterations by level, each group in
-// ascending iteration order.
-//
-// Because every edge points from a lower iteration index to a higher one, a
-// single forward sweep suffices; no explicit topological sort is needed.
-func (g *Graph) Levels() (level []int, byLevel [][]int) {
-	level = make([]int, g.N)
-	maxLevel := 0
-	for i := 0; i < g.N; i++ {
-		l := 0
-		for _, p := range g.Preds[i] {
-			if lp := level[p] + 1; lp > l {
-				l = lp
-			}
-		}
-		level[i] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	if g.N == 0 {
-		return level, nil
-	}
-	byLevel = make([][]int, maxLevel+1)
-	for i, l := range level {
-		byLevel[l] = append(byLevel[l], i)
-	}
-	return level, byLevel
-}
-
-// LevelSet is a compact wavefront decomposition in CSR form: Level[i] is the
-// level of iteration i, and level l's members are Members[Off[l]:Off[l+1]],
-// in ascending iteration order. It is the allocation-free counterpart of the
-// byLevel slices returned by Levels, for callers (the wavefront inspector)
-// that decompose a graph on every cold inspect and want to reuse buffers.
+// LevelSet is the wavefront (level-set) decomposition of a graph in CSR form:
+// Level[i] is the level of iteration i, and level l's members are
+// Members[Off[l]:Off[l+1]], in ascending iteration order. Iterations within
+// one level can run concurrently. LevelsInto fills it into reusable buffers,
+// so a caller (the wavefront inspector) that decomposes a graph on every cold
+// inspect allocates only when a graph outgrows the last one.
 type LevelSet struct {
 	Level   []int32
 	Members []int32
@@ -273,13 +181,17 @@ func grow(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// LevelsInto computes the same wavefront decomposition as Levels into the
+// LevelsInto computes the wavefront decomposition of the graph into the
 // reusable buffers of ls, allocating only when the buffers are too small (or
 // ls is nil, in which case a fresh LevelSet is allocated). It returns ls.
+// Level[i] is 0 when iteration i has no predecessors, otherwise 1 + the
+// maximum level of its predecessors.
 //
-// The decomposition is a forward sweep followed by a counting sort, both
-// O(N + edges) with no per-level allocations — the property the wavefront
-// inspector needs when it cold-inspects loop after loop on one runtime.
+// Because every edge points from a lower iteration index to a higher one, a
+// single forward sweep suffices; no explicit topological sort is needed. The
+// sweep and the counting sort that groups the levels are both O(N + edges)
+// with no per-level allocations — the property the wavefront inspector needs
+// when it cold-inspects loop after loop on one runtime.
 func (g *Graph) LevelsInto(ls *LevelSet) *LevelSet {
 	if ls == nil {
 		ls = &LevelSet{}
@@ -409,15 +321,10 @@ type Stats struct {
 
 // Analyze computes summary statistics for the graph.
 func (g *Graph) Analyze() Stats {
-	_, byLevel := g.Levels()
-	st := Stats{Iterations: g.N, Edges: g.Edges, Levels: len(byLevel)}
-	for _, lvl := range byLevel {
-		if len(lvl) > st.MaxLevelWidth {
-			st.MaxLevelWidth = len(lvl)
-		}
-	}
-	if len(byLevel) > 0 {
-		st.MeanLevelWidth = float64(g.N) / float64(len(byLevel))
+	ls := g.LevelsInto(nil)
+	st := Stats{Iterations: g.N, Edges: g.Edges, Levels: ls.Count(), MaxLevelWidth: ls.MaxWidth()}
+	if st.Levels > 0 {
+		st.MeanLevelWidth = float64(g.N) / float64(st.Levels)
 	}
 	cp, _ := g.CriticalPath(nil)
 	st.CriticalPathLen = int(cp)
@@ -460,37 +367,14 @@ func (g *Graph) IsTopologicalOrder(order []int) bool {
 	return true
 }
 
-// DOT renders the dependency graph in Graphviz DOT format, with iterations
-// grouped by level. Intended for small graphs (debugging and documentation).
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=circle];\n", name)
-	level, byLevel := g.Levels()
-	for l, members := range byLevel {
-		fmt.Fprintf(&b, "  { rank=same;")
-		for _, m := range members {
-			fmt.Fprintf(&b, " i%d;", m)
-		}
-		fmt.Fprintf(&b, " } // level %d\n", l)
-	}
-	_ = level
-	for i := 0; i < g.N; i++ {
-		for _, p := range g.Preds[i] {
-			fmt.Fprintf(&b, "  i%d -> i%d;\n", p, i)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // ParallelismProfile returns, for each level, the number of iterations in
 // that level — the "width" of each wavefront. It is the profile a level
 // scheduled (doall-per-wavefront) execution would exploit.
 func (g *Graph) ParallelismProfile() []int {
-	_, byLevel := g.Levels()
-	widths := make([]int, len(byLevel))
-	for l, members := range byLevel {
-		widths[l] = len(members)
+	ls := g.LevelsInto(nil)
+	widths := make([]int, ls.Count())
+	for l := range widths {
+		widths[l] = len(ls.LevelMembers(l))
 	}
 	return widths
 }

@@ -2,10 +2,69 @@ package depgraph
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// naiveBuild is the reference every builder is checked against: the writer
+// index is a map, so it needs no bound on the elements, and each iteration's
+// predecessors are collected through a set and sorted on their own.
+func naiveBuild(a Access) *Graph {
+	writer := make(map[int]int32)
+	for i := 0; i < a.N; i++ {
+		for _, e := range a.Writes(i) {
+			writer[e] = int32(i)
+		}
+	}
+	g := &Graph{N: a.N, Preds: make([][]int32, a.N), Succs: make([][]int32, a.N)}
+	for i := 0; i < a.N; i++ {
+		seen := make(map[int32]bool)
+		var preds []int32
+		for _, e := range a.Reads(i) {
+			if j, ok := writer[e]; ok && int(j) < i && !seen[j] {
+				seen[j] = true
+				preds = append(preds, j)
+			}
+		}
+		sort.Slice(preds, func(x, y int) bool { return preds[x] < preds[y] })
+		g.Preds[i] = preds
+		g.Edges += len(preds)
+		for _, j := range preds {
+			g.Succs[j] = append(g.Succs[j], int32(i))
+		}
+	}
+	return g
+}
+
+// naiveLevels is the reference level computation: a forward sweep giving an
+// iteration level 0 without predecessors and 1 + its largest predecessor
+// level otherwise.
+func naiveLevels(g *Graph) []int32 {
+	level := make([]int32, g.N)
+	for i := 0; i < g.N; i++ {
+		for _, p := range g.Preds[i] {
+			level[i] = max(level[i], level[p]+1)
+		}
+	}
+	return level
+}
+
+// denseWriter fills the dense writer index of a over dataLen elements, the
+// input BuildParallelFromWriterIndex takes.
+func denseWriter(a Access, dataLen int) []int32 {
+	writer := make([]int32, dataLen)
+	for e := range writer {
+		writer[e] = -1
+	}
+	for i := 0; i < a.N; i++ {
+		for _, e := range a.Writes(i) {
+			writer[e] = int32(i)
+		}
+	}
+	return writer
+}
 
 // chainAccess builds a loop where iteration i writes element i and reads
 // element i-1: a pure sequential chain.
@@ -101,13 +160,13 @@ func TestBuildDeduplicatesEdges(t *testing.T) {
 }
 
 func TestBuildFromWriterIndex(t *testing.T) {
-	write := []int{0, 1, 2, 3}
-	g := BuildFromWriterIndex(4, write, func(i int) []int {
+	writer := []int32{0, 1, 2, 3}
+	g := BuildParallelFromWriterIndex(4, writer, func(i int) []int {
 		if i == 3 {
 			return []int{0, 2}
 		}
 		return nil
-	})
+	}, nil)
 	if len(g.Preds[3]) != 2 {
 		t.Fatalf("preds[3] = %v, want two predecessors", g.Preds[3])
 	}
@@ -115,21 +174,20 @@ func TestBuildFromWriterIndex(t *testing.T) {
 
 func TestLevelsChain(t *testing.T) {
 	g := Build(chainAccess(6))
-	level, byLevel := g.Levels()
+	ls := g.LevelsInto(nil)
 	for i := 0; i < 6; i++ {
-		if level[i] != i {
-			t.Fatalf("level[%d] = %d, want %d", i, level[i], i)
+		if ls.Level[i] != int32(i) {
+			t.Fatalf("level[%d] = %d, want %d", i, ls.Level[i], i)
 		}
 	}
-	if len(byLevel) != 6 {
-		t.Fatalf("byLevel has %d levels, want 6", len(byLevel))
+	if ls.Count() != 6 {
+		t.Fatalf("chain has %d levels, want 6", ls.Count())
 	}
 }
 
 func TestLevelsEmptyGraph(t *testing.T) {
 	g := Build(Access{N: 0, Writes: func(int) []int { return nil }, Reads: func(int) []int { return nil }})
-	level, byLevel := g.Levels()
-	if len(level) != 0 || byLevel != nil {
+	if ls := g.LevelsInto(nil); len(ls.Level) != 0 || ls.Count() != 0 {
 		t.Error("empty graph should have empty levels")
 	}
 	if l, p := g.CriticalPath(nil); l != 0 || p != nil {
@@ -221,15 +279,14 @@ func TestLevelOrderIsAlwaysTopological(t *testing.T) {
 				reads[i] = append(reads[i], rng.Intn(n))
 			}
 		}
-		write := make([]int, n)
-		for i := range write {
-			write[i] = i
-		}
-		g := BuildFromWriterIndex(n, write, func(i int) []int { return reads[i] })
-		_, byLevel := g.Levels()
+		g := Build(Access{
+			N:      n,
+			Writes: func(i int) []int { return []int{i} },
+			Reads:  func(i int) []int { return reads[i] },
+		})
 		var order []int
-		for _, lvl := range byLevel {
-			order = append(order, lvl...)
+		for _, it := range g.LevelsInto(nil).Members {
+			order = append(order, int(it))
 		}
 		return g.IsTopologicalOrder(order)
 	}
@@ -249,14 +306,13 @@ func TestCriticalPathAtMostLevels(t *testing.T) {
 				reads[i] = append(reads[i], rng.Intn(i))
 			}
 		}
-		write := make([]int, n)
-		for i := range write {
-			write[i] = i
-		}
-		g := BuildFromWriterIndex(n, write, func(i int) []int { return reads[i] })
+		g := Build(Access{
+			N:      n,
+			Writes: func(i int) []int { return []int{i} },
+			Reads:  func(i int) []int { return reads[i] },
+		})
 		cp, _ := g.CriticalPath(nil)
-		_, byLevel := g.Levels()
-		return int(cp) == len(byLevel)
+		return int(cp) == g.LevelsInto(nil).Count()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -273,16 +329,6 @@ func TestParallelismProfile(t *testing.T) {
 	prof = g.ParallelismProfile()
 	if len(prof) != 1 || prof[0] != 7 {
 		t.Errorf("independent profile = %v", prof)
-	}
-}
-
-func TestDOTOutput(t *testing.T) {
-	g := Build(chainAccess(3))
-	dot := g.DOT("chain")
-	for _, want := range []string{"digraph \"chain\"", "i0 -> i1", "i1 -> i2", "rank=same"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 
@@ -315,7 +361,7 @@ func randomAccess(rng *rand.Rand, n int) (Access, int) {
 }
 
 // goParallelFor is a goroutine-per-shard parallel runner used to exercise
-// BuildParallel's concurrency under the race detector.
+// BuildParallelFromWriterIndex's concurrency under the race detector.
 func goParallelFor(n int, body func(i int)) {
 	const shards = 4
 	done := make(chan struct{}, shards)
@@ -357,40 +403,49 @@ func graphsEqual(a, b *Graph) bool {
 	return true
 }
 
-// TestBuildParallelMatchesBuild checks that the pool-parallel construction
-// produces exactly the graph of the sequential Build, for random access
-// patterns, both with a nil runner and a genuinely concurrent one.
+// TestBuildParallelMatchesBuild checks that Build and the pool-parallel
+// construction over a dense writer index, with a nil runner and a genuinely
+// concurrent one, produce exactly the graph of the naive reference builder
+// for random access patterns.
 func TestBuildParallelMatchesBuild(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, dataLen := randomAccess(rng, 20+rng.Intn(200))
-		want := Build(a)
-		if !graphsEqual(want, BuildParallel(a, dataLen, nil)) {
-			return false
-		}
-		return graphsEqual(want, BuildParallel(a, dataLen, goParallelFor))
+		want := naiveBuild(a)
+		writer := denseWriter(a, dataLen)
+		return graphsEqual(want, Build(a)) &&
+			graphsEqual(want, BuildParallelFromWriterIndex(a.N, writer, a.Reads, nil)) &&
+			graphsEqual(want, BuildParallelFromWriterIndex(a.N, writer, a.Reads, goParallelFor))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestLevelsIntoMatchesLevels checks the CSR decomposition against the
-// slice-of-slices one on random graphs, including buffer reuse across graphs
-// of different sizes.
+// TestLevelsIntoMatchesLevels checks the CSR decomposition against the naive
+// forward sweep on random graphs — every iteration's level, and each level's
+// members in ascending order — including buffer reuse across graphs of
+// different sizes.
 func TestLevelsIntoMatchesLevels(t *testing.T) {
 	ls := &LevelSet{} // reused across all iterations to exercise buffer reuse
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, _ := randomAccess(rng, 10+rng.Intn(300))
 		g := Build(a)
-		level, byLevel := g.Levels()
+		level := naiveLevels(g)
+		var byLevel [][]int32
+		for i, l := range level {
+			for int(l) >= len(byLevel) {
+				byLevel = append(byLevel, nil)
+			}
+			byLevel[l] = append(byLevel[l], int32(i))
+		}
 		g.LevelsInto(ls)
 		if ls.Count() != len(byLevel) {
 			return false
 		}
 		for i := 0; i < g.N; i++ {
-			if int(ls.Level[i]) != level[i] {
+			if ls.Level[i] != level[i] {
 				return false
 			}
 		}
@@ -400,7 +455,7 @@ func TestLevelsIntoMatchesLevels(t *testing.T) {
 				return false
 			}
 			for k := range members {
-				if int(members[k]) != byLevel[l][k] {
+				if members[k] != byLevel[l][k] {
 					return false
 				}
 			}
@@ -425,14 +480,18 @@ func TestLevelsIntoEmptyAndNil(t *testing.T) {
 
 func TestLevelSetMaxWidth(t *testing.T) {
 	// Diamond: 0 -> {1,2} -> 3. Levels: {0}, {1,2}, {3}; max width 2.
-	g := BuildFromWriterIndex(4, []int{0, 1, 2, 3}, func(i int) []int {
-		switch i {
-		case 1, 2:
-			return []int{0}
-		case 3:
-			return []int{1, 2}
-		}
-		return nil
+	g := Build(Access{
+		N:      4,
+		Writes: func(i int) []int { return []int{i} },
+		Reads: func(i int) []int {
+			switch i {
+			case 1, 2:
+				return []int{0}
+			case 3:
+				return []int{1, 2}
+			}
+			return nil
+		},
 	})
 	ls := g.LevelsInto(nil)
 	if ls.Count() != 3 || ls.MaxWidth() != 2 {
@@ -440,21 +499,9 @@ func TestLevelSetMaxWidth(t *testing.T) {
 	}
 }
 
-// BenchmarkLevels and BenchmarkLevelsInto compare the allocating and the
-// buffer-reusing level decompositions; the wavefront inspector calls this on
-// every cold inspect, so the Into variant must be allocation-free after the
-// first call.
-func BenchmarkLevels(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a, _ := randomAccess(rng, 20000)
-	g := Build(a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Levels()
-	}
-}
-
+// BenchmarkLevelsInto times the buffer-reusing level decomposition; the
+// wavefront inspector calls it on every cold inspect, so it must be
+// allocation-free after the first call.
 func BenchmarkLevelsInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a, _ := randomAccess(rng, 20000)
@@ -472,12 +519,12 @@ func BenchmarkBuildParallel(b *testing.B) {
 	a, dataLen := randomAccess(rng, 20000)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			BuildParallel(a, dataLen, nil)
+			Build(a)
 		}
 	})
 	b.Run("goroutines", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			BuildParallel(a, dataLen, goParallelFor)
+			BuildParallelFromWriterIndex(a.N, denseWriter(a, dataLen), a.Reads, goParallelFor)
 		}
 	})
 }

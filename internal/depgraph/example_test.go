@@ -24,8 +24,7 @@ func ExampleBuild() {
 	fmt.Println("edges:", g.Edges)
 	fmt.Println("preds of 5:", g.Preds[5])
 
-	level, _ := g.Levels()
-	fmt.Println("levels:", level)
+	fmt.Println("levels:", g.LevelsInto(nil).Level)
 
 	length, path := g.CriticalPath(nil)
 	fmt.Println("critical path:", length, path)

@@ -48,20 +48,14 @@ func FuzzLevelsInto(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := graphFromFuzzInput(data)
 
-		// Naive reference: forward sweep over the predecessor lists.
-		want := make([]int32, g.N)
 		for i := 0; i < g.N; i++ {
-			l := int32(0)
 			for _, p := range g.Preds[i] {
 				if int(p) >= i {
 					t.Fatalf("iteration %d has non-forward predecessor %d", i, p)
 				}
-				if want[p]+1 > l {
-					l = want[p] + 1
-				}
 			}
-			want[i] = l
 		}
+		want := naiveLevels(g)
 
 		ls := g.LevelsInto(nil)
 		if got := ls.Count(); g.N > 0 {
@@ -129,6 +123,88 @@ func FuzzLevelsInto(f *testing.F) {
 				if ls2.Level[i] != l {
 					t.Fatalf("reused buffers: iteration %d level %d, want %d", i, ls2.Level[i], l)
 				}
+			}
+		}
+	})
+}
+
+// accessFromFuzzInput decodes an arbitrary byte string into an access
+// pattern and its data length. data[0] sets n iterations over 2n+1
+// elements; iteration i writes element (2i+data[1]) mod 2n+1, so n+1
+// elements stay unwritten. Each later byte pair (a, b) gives iteration a%n
+// one read chosen by b%4: the element of iteration b/4 (a true dependency,
+// a self read or a read of a later writer's element), its own element, an
+// element nobody writes (past the last written one at times), or a repeat of
+// its previous read.
+func accessFromFuzzInput(data []byte) (Access, int) {
+	n, off := 1, 0
+	if len(data) > 0 {
+		n = 1 + int(data[0])%64
+	}
+	if len(data) > 1 {
+		off = int(data[1])
+	}
+	dataLen := 2*n + 1
+	written := make([]int, n)
+	isWritten := make([]bool, dataLen+1)
+	for i := range written {
+		written[i] = (2*i + off) % dataLen
+		isWritten[written[i]] = true
+	}
+	var unwritten []int
+	for e, ok := range isWritten {
+		if !ok {
+			unwritten = append(unwritten, e)
+		}
+	}
+	reads := make([][]int, n)
+	for k := 2; k+1 < len(data); k += 2 {
+		i, b := int(data[k])%n, int(data[k+1])
+		var e int
+		switch b % 4 {
+		case 0:
+			e = written[(b/4)%n]
+		case 1:
+			e = written[i]
+		case 2:
+			e = unwritten[(b/4)%len(unwritten)]
+		default:
+			if len(reads[i]) == 0 {
+				continue
+			}
+			e = reads[i][len(reads[i])-1]
+		}
+		reads[i] = append(reads[i], e)
+	}
+	return Access{
+		N:      n,
+		Writes: func(i int) []int { return written[i : i+1] },
+		Reads:  func(i int) []int { return reads[i] },
+	}, dataLen
+}
+
+// FuzzBuild cross-checks the one predecessor scan against the naive
+// map-based reference builder on arbitrary access patterns mixing true,
+// duplicate, self, later-writer and unwritten reads: Build (the sequential
+// front end sizing its own writer index) and BuildParallelFromWriterIndex
+// under a concurrent runner must both produce the reference graph exactly,
+// predecessors sorted and deduplicated, successors and edge count
+// consistent.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 1, 0, 2, 4, 3, 8})                 // chain-like true dependencies
+	f.Add([]byte{8, 3, 5, 1, 5, 3, 5, 0, 5, 4, 2, 28})    // self, repeat, true, later writer
+	f.Add([]byte{16, 7, 9, 2, 9, 6, 9, 10, 9, 3, 9, 255}) // unwritten reads and repeats
+	f.Add([]byte{63, 200, 62, 0, 62, 252, 0, 249, 0, 250})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, dataLen := accessFromFuzzInput(data)
+		want := naiveBuild(a)
+		for _, got := range []*Graph{
+			Build(a),
+			BuildParallelFromWriterIndex(a.N, denseWriter(a, dataLen), a.Reads, goParallelFor),
+		} {
+			if !graphsEqual(want, got) {
+				t.Fatalf("graph differs from the reference:\ngot preds  %v\nwant preds %v", got.Preds, want.Preds)
 			}
 		}
 	})

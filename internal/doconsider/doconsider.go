@@ -96,26 +96,26 @@ func Validate(g *depgraph.Graph, order []int) error {
 }
 
 func levelOrder(g *depgraph.Graph) []int {
-	_, byLevel := g.Levels()
 	order := make([]int, 0, g.N)
-	for _, lvl := range byLevel {
-		order = append(order, lvl...)
+	for _, it := range g.LevelsInto(nil).Members {
+		order = append(order, int(it))
 	}
 	return order
 }
 
 func levelInterleavedOrder(g *depgraph.Graph) []int {
-	_, byLevel := g.Levels()
+	ls := g.LevelsInto(nil)
 	order := make([]int, 0, g.N)
 	// Keep whole levels contiguous (correctness requires predecessors
 	// earlier) but interleave *within* each level by striding, so that a
 	// block distribution of positions hands neighbouring iterations of the
 	// same level to different processors.
 	const stride = 16
-	for _, lvl := range byLevel {
+	for l := 0; l < ls.Count(); l++ {
+		lvl := ls.LevelMembers(l)
 		for offset := 0; offset < stride; offset++ {
 			for k := offset; k < len(lvl); k += stride {
-				order = append(order, lvl[k])
+				order = append(order, int(lvl[k]))
 			}
 		}
 	}
@@ -205,8 +205,7 @@ func NewPlan(g *depgraph.Graph, s Strategy) Plan {
 			edges++
 		}
 	}
-	_, byLevel := g.Levels()
-	plan := Plan{Strategy: s, Order: order, Levels: len(byLevel)}
+	plan := Plan{Strategy: s, Order: order, Levels: g.LevelsInto(nil).Count()}
 	if edges > 0 {
 		plan.MeanWaitDistance = totalDist / float64(edges)
 	}

@@ -21,7 +21,7 @@ func randomDAG(seed int64, n int) *depgraph.Graph {
 			reads[i] = append(reads[i], rng.Intn(i))
 		}
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(i int) []int { return reads[i] })
+	return depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(i int) []int { return reads[i] }})
 }
 
 // gridDAG builds the dependency graph of a forward substitution on the lower
@@ -35,7 +35,7 @@ func gridDAG(nx, ny int) *depgraph.Graph {
 	for i := range write {
 		write[i] = i
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(it int) []int {
+	return depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(it int) []int {
 		i, j := it/ny, it%ny
 		var r []int
 		if i > 0 {
@@ -45,7 +45,7 @@ func gridDAG(nx, ny int) *depgraph.Graph {
 			r = append(r, i*ny+j-1)
 		}
 		return r
-	})
+	}})
 }
 
 func TestStrategyString(t *testing.T) {
@@ -94,7 +94,7 @@ func TestAllStrategiesProduceTopologicalOrders(t *testing.T) {
 func TestLevelOrderGroupsWavefronts(t *testing.T) {
 	g := gridDAG(10, 10)
 	order := Order(g, Level)
-	level, _ := g.Levels()
+	level := g.LevelsInto(nil).Level
 	for k := 1; k < len(order); k++ {
 		if level[order[k]] < level[order[k-1]] {
 			t.Fatalf("level order decreases at position %d", k)
@@ -130,12 +130,12 @@ func TestCriticalPathOrderPrefersLongChains(t *testing.T) {
 	for i := range write {
 		write[i] = i
 	}
-	g := depgraph.BuildFromWriterIndex(n, write, func(i int) []int {
+	g := depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(i int) []int {
 		if i >= 1 && i < 10 {
 			return []int{i - 1}
 		}
 		return nil
-	})
+	}})
 	order := Order(g, CriticalPath)
 	if order[0] != 0 {
 		t.Fatalf("critical-path order starts with %d, want chain head 0", order[0])
@@ -185,7 +185,7 @@ func TestNewPlanWaitDistance(t *testing.T) {
 
 func TestNewPlanNoEdges(t *testing.T) {
 	write := []int{0, 1, 2}
-	g := depgraph.BuildFromWriterIndex(3, write, func(i int) []int { return nil })
+	g := depgraph.Build(depgraph.Access{N: 3, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(i int) []int { return nil }})
 	p := NewPlan(g, Level)
 	if p.MeanWaitDistance != 0 {
 		t.Error("edge-free graph should have zero mean wait distance")

@@ -112,7 +112,7 @@ func RunOrderingAblation(problems []stencil.Problem, processors int, seed int64)
 			Reads:  func(i int) []int { return l.Col[l.RowPtr[i]:l.RowPtr[i+1]] },
 		}
 		readPreds := machine.ReadPredsFromAccess(acc)
-		_, byLevel := g.Levels()
+		levels := g.LevelsInto(nil).Count()
 		for _, s := range doconsider.Strategies {
 			plan := doconsider.NewPlan(g, s)
 			cfg := machine.Config{Processors: processors, Policy: sched.Cyclic, ReadPreds: readPreds}
@@ -127,7 +127,7 @@ func RunOrderingAblation(problems []stencil.Problem, processors int, seed int64)
 				Problem:    prob,
 				Strategy:   s,
 				Efficiency: sim.Efficiency,
-				Levels:     len(byLevel),
+				Levels:     levels,
 				MeanDist:   plan.MeanWaitDistance,
 			})
 		}

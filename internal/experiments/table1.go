@@ -109,7 +109,7 @@ func runTable1Row(prob stencil.Problem, cfg Table1Config) (Table1Row, error) {
 		return Table1Row{}, err
 	}
 	g := trisolve.Graph(l)
-	_, byLevel := g.Levels()
+	levels := g.LevelsInto(nil).Count()
 	cm := TrisolveCostModel(l)
 	acc := depgraph.Access{
 		N:      l.N,
@@ -172,7 +172,7 @@ func runTable1Row(prob stencil.Problem, cfg Table1Config) (Table1Row, error) {
 		Problem:      prob,
 		Equations:    l.N,
 		NNZ:          l.NNZ() + l.N,
-		Levels:       len(byLevel),
+		Levels:       levels,
 		DoacrossMs:   SimulatedMs(plain.TPar),
 		ReorderedMs:  SimulatedMs(reordered.TPar),
 		SequentialMs: SimulatedMs(plain.TSeq),

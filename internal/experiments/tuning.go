@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"doacross"
+	"doacross/internal/machine"
 	"doacross/internal/stencil"
+	"doacross/internal/tune"
 )
 
 // TuningRow is one workload's mis-seeded recovery measurement: the online
@@ -47,14 +49,18 @@ type TuningRow struct {
 	FinalPick    string
 
 	// TunedEMANs is the settled executor's measured moving average, BestEMANs
-	// the fastest measured average of any arm, and RecoverySpeedup the ratio
-	// of staying misled (the worst executor's truth time) over the tuned
-	// steady state — what the feedback loop bought.
+	// the fastest measured average of any arm, WorstEMANs the measured-worst
+	// executor's, and RecoverySpeedup the ratio of staying misled (the worst
+	// executor's truth time) over the tuned steady state — what the feedback
+	// loop bought.
 	TunedEMANs      float64
 	BestEMANs       float64
+	WorstEMANs      float64
 	RecoverySpeedup float64
 
-	Checks string
+	// Stats is the tuned plan's inspection: the shape CheckTuning replays the
+	// measured averages through machine.SimulateTuning with.
+	Stats doacross.InspectStats
 }
 
 // tuningMisledCosts returns seed coefficients whose model prediction prefers
@@ -260,6 +266,10 @@ func runTuningWorkload(w tuningWorkload, workers, runs, truthReps int) (TuningRo
 	if settled, ok := emaOf[row.FinalPick]; ok && settled.Observations > 0 {
 		row.TunedEMANs = settled.EMANs
 	}
+	row.WorstEMANs = emaOf[row.WorstExecutor].EMANs
+	if row.Stats, err = rt.Inspect(w.loop); err != nil {
+		return row, err
+	}
 	if row.TunedEMANs > 0 {
 		row.RecoverySpeedup = float64(tWorst) / row.TunedEMANs
 	}
@@ -289,10 +299,13 @@ func FormatTuning(rows []TuningRow) string {
 // show the mis-seeding took hold (run 0 greedily picked the measured-worst
 // executor). A row with a decisive margin (>= 3x between the executors) must
 // additionally converge to the measured-best executor within half the run
-// budget and recover at least a 2x speedup over staying misled; a row with a
-// thin margin only has to settle on an executor whose measured average is
-// within 1.5x of the fastest one (close seconds among near-ties pass, a
-// catastrophic pick fails).
+// budget, recover at least a 2x speedup over staying misled, measure the
+// best executor's moving average below the worst one's, and, replayed
+// through machine.SimulateTuning with those averages as the truth and the
+// same seed coefficients and seed, converge within half the run budget too;
+// a row with a thin margin only has to settle on an executor whose measured
+// average is within 1.5x of the fastest one (close seconds among near-ties
+// pass, a catastrophic pick fails).
 func CheckTuning(rows []TuningRow) []string {
 	var problems []string
 	for _, r := range rows {
@@ -324,6 +337,15 @@ func CheckTuning(rows []TuningRow) []string {
 					"%s P=%d: recovery bought only %.2fx over staying misled",
 					r.Name, r.Workers, r.RecoverySpeedup))
 			}
+			if r.BestEMANs >= r.WorstEMANs {
+				problems = append(problems, fmt.Sprintf(
+					"%s P=%d: the fastest measured average %v is not below the measured-worst %s's %v",
+					r.Name, r.Workers, time.Duration(int64(r.BestEMANs)), r.WorstExecutor, time.Duration(int64(r.WorstEMANs))))
+			} else if traj := simulateTuningRow(r); traj.ConvergedAt < 0 || traj.ConvergedAt > r.Runs/2 {
+				problems = append(problems, fmt.Sprintf(
+					"%s P=%d: replayed through the simulator, the measured averages converge at run %d of %d",
+					r.Name, r.Workers, traj.ConvergedAt, r.Runs))
+			}
 		} else if r.BestEMANs > 0 && r.TunedEMANs > 1.5*r.BestEMANs {
 			problems = append(problems, fmt.Sprintf(
 				"%s P=%d: settled executor's measured average %v is more than 1.5x the fastest measured %v",
@@ -332,6 +354,19 @@ func CheckTuning(rows []TuningRow) []string {
 		}
 	}
 	return problems
+}
+
+// simulateTuningRow replays a decisive row's run budget through
+// machine.SimulateTuning: the truth is the row's measured moving averages
+// (the best executor's, BestEMANs, and the worst one's), the plan shape its
+// Stats, the seed the experiment's coefficients and exploration seed.
+func simulateTuningRow(r TuningRow) machine.TuningTrajectory {
+	truth := machine.TuningTruth{DoacrossNs: r.BestEMANs, WavefrontNs: r.WorstEMANs}
+	if r.BestExecutor == "wavefront" {
+		truth.DoacrossNs, truth.WavefrontNs = truth.WavefrontNs, truth.DoacrossNs
+	}
+	return machine.SimulateTuning(truth, r.Stats, r.Workers, 1, r.Runs,
+		tune.Options{InitialCosts: tuningMisledCosts(r.WorstExecutor), Seed: tuningSeed})
 }
 
 // TuningBenchRecords converts the recovery rows into bench records: NsPerOp

@@ -9,17 +9,26 @@ import (
 )
 
 // TestCheckTuningClaims pins the claim logic on synthetic rows: a decisive
-// row is held to convergence, final-pick and recovery claims, a thin-margin
-// row only to the 1.5x near-tie bound, and a row whose run-0 pick ignored the
-// mis-seeding fails outright.
+// row is held to convergence, final-pick, recovery, measured-average and
+// simulator-replay claims, a thin-margin row only to the 1.5x near-tie bound,
+// and a row whose run-0 pick ignored the mis-seeding fails outright.
 func TestCheckTuningClaims(t *testing.T) {
+	rt, err := doacross.New(512, doacross.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	chainStats, err := rt.Inspect(tuningChain(512))
+	if err != nil {
+		t.Fatal(err)
+	}
 	decisive := TuningRow{
 		Name: "chain n=512", Workers: 4, Runs: 30, TruthReps: 3,
 		TDoacross: 80 * time.Millisecond, TWavefront: 40 * time.Microsecond,
 		BestExecutor: "wavefront", WorstExecutor: "doacross", Margin: 2000,
 		MisSeededPick: "doacross", ConvergedAt: 4, Explorations: 3,
 		FinalPick: "wavefront", TunedEMANs: 45_000, BestEMANs: 45_000,
-		RecoverySpeedup: 1777,
+		WorstEMANs: 80_000_000, RecoverySpeedup: 1777, Stats: chainStats,
 	}
 	if problems := CheckTuning([]TuningRow{decisive}); len(problems) != 0 {
 		t.Fatalf("decisive recovery flagged: %v", problems)
@@ -33,9 +42,19 @@ func TestCheckTuningClaims(t *testing.T) {
 	wrongArm.FinalPick = "doacross"
 	thinRecovery := decisive
 	thinRecovery.RecoverySpeedup = 1.2
+	// The best executor's measured average is not below the worst one's.
+	contradicted := decisive
+	contradicted.WorstEMANs = contradicted.BestEMANs
+	// A budget that ends before seed 5's first exploration (run 3): the
+	// replayed trajectory never leaves the misled arm, although the live
+	// fields claim an early convergence.
+	shortBudget := decisive
+	shortBudget.Runs, shortBudget.ConvergedAt = 3, 1
 	for name, row := range map[string]TuningRow{
 		"never converged": never, "late convergence": late,
 		"wrong final pick": wrongArm, "thin recovery": thinRecovery,
+		"averages contradict the truth": contradicted,
+		"simulator does not converge":   shortBudget,
 	} {
 		if problems := CheckTuning([]TuningRow{row}); len(problems) == 0 {
 			t.Errorf("%s: no violation reported for %+v", name, row)

@@ -17,7 +17,11 @@ import (
 // deliberately independent code: the accounting test compares
 // SimulateDynamicWavefront against it on random level shapes.
 func naiveDynamicReference(g *depgraph.Graph, procs int, cm CostModel, wc WavefrontCosts) (exec float64, claims int, barrierTime float64) {
-	_, byLevel := g.Levels()
+	ls := g.LevelsInto(nil)
+	byLevel := make([][]int32, ls.Count())
+	for l := range byLevel {
+		byLevel[l] = ls.LevelMembers(l)
+	}
 	maxWidth := 0
 	for _, lvl := range byLevel {
 		if len(lvl) > maxWidth {
@@ -59,7 +63,7 @@ func naiveDynamicReference(g *depgraph.Graph, procs int, cm CostModel, wc Wavefr
 				end = len(lvl)
 			}
 			for _, it := range lvl[idx:end] {
-				clocks[w] += cm.IterWork(it) + wc.IterOverhead
+				clocks[w] += cm.IterWork(int(it)) + wc.IterOverhead
 			}
 		}
 		levelMax := 0.0

@@ -266,12 +266,12 @@ func Simulate(g *depgraph.Graph, cfg Config, cm CostModel) (Result, error) {
 		return res, nil
 	}
 
-	schedule := sched.Build(cfg.Policy, n, p)
+	schedule := sched.NewPositionSchedule(n, cfg.Policy, p)
 	finish := make([]float64, n)
 	simulated := make([]bool, n)
 	procTime := make([]float64, p)
 	procBusy := make([]float64, p)
-	next := make([]int, p) // index into schedule.PerWorker[w]
+	next := make([]int, p) // index into schedule.Items(0, w)
 
 	iterOf := func(pos int) int {
 		if order != nil {
@@ -287,9 +287,9 @@ func Simulate(g *depgraph.Graph, cfg Config, cm CostModel) (Result, error) {
 		// smaller position already ran), so it can be processed now.
 		best := -1
 		bestPos := math.MaxInt
-		for w := 0; w < len(schedule.PerWorker); w++ {
-			if next[w] < len(schedule.PerWorker[w]) {
-				pos := schedule.PerWorker[w][next[w]]
+		for w := 0; w < p; w++ {
+			if items := schedule.Items(0, w); next[w] < len(items) {
+				pos := int(items[next[w]])
 				if pos < bestPos {
 					bestPos = pos
 					best = w
@@ -300,7 +300,7 @@ func Simulate(g *depgraph.Graph, cfg Config, cm CostModel) (Result, error) {
 			return Result{}, fmt.Errorf("machine: schedule exhausted with %d iterations unsimulated", remaining)
 		}
 		w := best
-		pos := schedule.PerWorker[w][next[w]]
+		pos := bestPos
 		next[w]++
 		it := iterOf(pos)
 		for _, pr := range g.Preds[it] {

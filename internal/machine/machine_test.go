@@ -14,12 +14,12 @@ func chainGraph(n int) *depgraph.Graph {
 	for i := range write {
 		write[i] = i
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(i int) []int {
+	return depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(i int) []int {
 		if i == 0 {
 			return nil
 		}
 		return []int{i - 1}
-	})
+	}})
 }
 
 func independentGraph(n int) *depgraph.Graph {
@@ -27,7 +27,7 @@ func independentGraph(n int) *depgraph.Graph {
 	for i := range write {
 		write[i] = i
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(i int) []int { return nil })
+	return depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(i int) []int { return nil }})
 }
 
 func gridGraph(nx, ny int) *depgraph.Graph {
@@ -36,7 +36,7 @@ func gridGraph(nx, ny int) *depgraph.Graph {
 	for i := range write {
 		write[i] = i
 	}
-	return depgraph.BuildFromWriterIndex(n, write, func(it int) []int {
+	return depgraph.Build(depgraph.Access{N: n, Writes: func(i int) []int { return write[i : i+1] }, Reads: func(it int) []int {
 		i, j := it/ny, it%ny
 		var r []int
 		if i > 0 {
@@ -46,7 +46,7 @@ func gridGraph(nx, ny int) *depgraph.Graph {
 			r = append(r, i*ny+j-1)
 		}
 		return r
-	})
+	}})
 }
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

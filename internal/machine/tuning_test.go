@@ -17,10 +17,10 @@ import (
 // per-level ceil splits, dynamic claims at the default chunk.
 func tuneStatsFromGraph(g *depgraph.Graph, workers int) tune.Stats {
 	a := g.Analyze()
-	_, byLevel := g.Levels()
+	ls := g.LevelsInto(nil)
 	rounds, claims := 0, 0
-	for _, lvl := range byLevel {
-		w := len(lvl)
+	for l := 0; l < ls.Count(); l++ {
+		w := len(ls.LevelMembers(l))
 		rounds += (w + workers - 1) / workers
 		claims += sched.DynamicClaims(w, sched.DefaultChunk, workers)
 	}

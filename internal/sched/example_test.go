@@ -6,13 +6,20 @@ import (
 	"doacross/internal/sched"
 )
 
-// ExampleBuild shows the two static iteration-to-processor assignments the
-// runtime supports: block (contiguous ranges) and cyclic (round robin).
-func ExampleBuild() {
-	block := sched.Build(sched.Block, 8, 3)
-	cyclic := sched.Build(sched.Cyclic, 8, 3)
-	fmt.Println("block: ", block.PerWorker)
-	fmt.Println("cyclic:", cyclic.PerWorker)
+// ExampleNewPositionSchedule shows the two static iteration-to-processor
+// assignments the runtime supports: block (contiguous ranges) and cyclic
+// (round robin). A position schedule has one level; worker w runs
+// Items(0, w) in order.
+func ExampleNewPositionSchedule() {
+	perWorker := func(s *sched.LevelSchedule) [][]int32 {
+		var lists [][]int32
+		for w := 0; w < s.Workers(); w++ {
+			lists = append(lists, s.Items(0, w))
+		}
+		return lists
+	}
+	fmt.Println("block: ", perWorker(sched.NewPositionSchedule(8, sched.Block, 3)))
+	fmt.Println("cyclic:", perWorker(sched.NewPositionSchedule(8, sched.Cyclic, 3)))
 	// Output:
 	// block:  [[0 1 2] [3 4 5] [6 7]]
 	// cyclic: [[0 3 6] [1 4 7] [2 5]]

@@ -9,6 +9,11 @@ import "fmt"
 // the executor separates consecutive levels with a barrier — so no
 // per-element ready flags and no waiting inside a level are needed.
 //
+// It is also the static assignment of the busy-wait doacross itself: a
+// one-level schedule of loop positions (NewPositionSchedule), whose worker w
+// runs Items(0, w) in order and enforces dependencies through ready flags
+// instead of barriers.
+//
 // The assignments are stored flat (level-major, worker-major) so a schedule
 // for a large loop is two slices, not levels*workers allocations, and the
 // per-worker item lists of one level are contiguous.
@@ -52,6 +57,19 @@ func NewLevelSchedule(members, off []int32, policy Policy, p int) *LevelSchedule
 	}
 	s.fillLevels(members, off, 0)
 	return s
+}
+
+// NewPositionSchedule builds the static assignment of n loop positions over p
+// workers: one level holding positions 0..n-1, distributed by policy exactly
+// as NewLevelSchedule distributes a level (Dynamic, which cannot be
+// materialized statically, degrades to Cyclic). Worker w executes Items(0, w)
+// in order; workers beyond n get empty lists.
+func NewPositionSchedule(n int, policy Policy, p int) *LevelSchedule {
+	positions := make([]int32, n)
+	for i := range positions {
+		positions[i] = int32(i)
+	}
+	return NewLevelSchedule(positions, []int32{0, int32(n)}, policy, p)
 }
 
 // fillLevels distributes levels [from, s.levels) of the decomposition over

@@ -5,12 +5,14 @@
 // The paper schedules iterations of the parallelized loop among the
 // processors of an Encore Multimax; the exact assignment policy is left to
 // the runtime. This package implements the standard choices (static block,
-// static cyclic, dynamic self-scheduling) plus an explicit assignment used by
-// the doconsider reordering, so the effect of the policy can be measured.
+// static cyclic, dynamic self-scheduling), so the effect of the policy can be
+// measured. Every static assignment is a LevelSchedule: the wavefront
+// executor's level-sorted schedule, or the one-level schedule of loop
+// positions (NewPositionSchedule) a doacross run, a Section 2.3 variant and
+// the machine simulator execute.
 package sched
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,84 +50,6 @@ func (p Policy) String() string {
 // DefaultChunk is the chunk size used by Dynamic when none is specified.
 const DefaultChunk = 16
 
-// Schedule is a concrete assignment of loop positions to workers. Positions
-// index into an execution order (which may be a permutation of the original
-// iteration space); the runtime maps positions back to original iteration
-// indices separately.
-//
-// Each worker executes its assigned positions strictly in the order listed.
-type Schedule struct {
-	// PerWorker[p] lists the positions executed by worker p, in execution
-	// order.
-	PerWorker [][]int
-	// N is the total number of positions.
-	N int
-	// PolicyUsed records how the schedule was built (for reporting).
-	PolicyUsed Policy
-}
-
-// Workers returns the number of workers in the schedule.
-func (s *Schedule) Workers() int { return len(s.PerWorker) }
-
-// Validate checks that the schedule covers every position in [0, N) exactly
-// once.
-func (s *Schedule) Validate() error {
-	seen := make([]bool, s.N)
-	count := 0
-	for p, list := range s.PerWorker {
-		for _, pos := range list {
-			if pos < 0 || pos >= s.N {
-				return fmt.Errorf("worker %d: position %d out of range [0,%d)", p, pos, s.N)
-			}
-			if seen[pos] {
-				return fmt.Errorf("worker %d: position %d assigned more than once", p, pos)
-			}
-			seen[pos] = true
-			count++
-		}
-	}
-	if count != s.N {
-		return fmt.Errorf("schedule covers %d of %d positions", count, s.N)
-	}
-	return nil
-}
-
-// NewBlock builds a static block schedule of n positions over p workers.
-func NewBlock(n, p int) *Schedule {
-	p = clampWorkers(p, n)
-	s := &Schedule{PerWorker: make([][]int, p), N: n, PolicyUsed: Block}
-	for w := 0; w < p; w++ {
-		lo, hi := BlockRange(n, p, w)
-		list := make([]int, 0, hi-lo)
-		for pos := lo; pos < hi; pos++ {
-			list = append(list, pos)
-		}
-		s.PerWorker[w] = list
-	}
-	return s
-}
-
-// NewCyclic builds a static cyclic schedule of n positions over p workers.
-func NewCyclic(n, p int) *Schedule {
-	p = clampWorkers(p, n)
-	s := &Schedule{PerWorker: make([][]int, p), N: n, PolicyUsed: Cyclic}
-	for w := 0; w < p; w++ {
-		list := make([]int, 0, (n+p-1)/p)
-		for pos := w; pos < n; pos += p {
-			list = append(list, pos)
-		}
-		s.PerWorker[w] = list
-	}
-	return s
-}
-
-// NewExplicit wraps an explicit per-worker assignment. The caller is
-// responsible for ensuring the assignment covers each position exactly once
-// (Validate checks this).
-func NewExplicit(perWorker [][]int, n int) *Schedule {
-	return &Schedule{PerWorker: perWorker, N: n, PolicyUsed: Block}
-}
-
 // BlockRange returns the half-open range of positions assigned to worker w by
 // a block distribution of n positions over p workers. The first n%p workers
 // receive one extra position.
@@ -142,24 +66,10 @@ func BlockRange(n, p, w int) (lo, hi int) {
 	return lo, hi
 }
 
-func clampWorkers(p, n int) int {
-	if p < 1 {
-		p = 1
-	}
-	if n > 0 && p > n {
-		p = n
-	}
-	if n == 0 {
-		p = 1
-	}
-	return p
-}
-
 // Pool executes loop positions on a fixed number of workers.
 //
 // A Pool created by NewPool is persistent: the worker goroutines are started
-// once and reused by every RunSchedule, RunDynamic, ParallelFor or Submit
-// call, which becomes a job submission with a completion barrier rather than
+// once and reused by every ParallelFor or Submit call, which becomes a job submission with a completion barrier rather than
 // a goroutine-spawn loop. This mirrors the paper's setting, where one set of
 // processors is reused across successive executions of the same preprocessed
 // loop — an iterative driver (a Krylov solve calling the doacross triangular
@@ -324,8 +234,8 @@ func (pl *Pool) Close() {
 // returns when all calls have finished. k is clamped to the pool size. The
 // k invocations are guaranteed to run concurrently with each other, so they
 // may synchronize among themselves (the doacross executor relies on this);
-// Submit is the primitive underneath RunSchedule, RunDynamic and ParallelFor
-// and is exported for callers that fuse several phases into one submission.
+// Submit is the primitive underneath ParallelFor and is exported for callers
+// that run a schedule or fuse several phases into one submission.
 func (pl *Pool) Submit(k int, fn func(worker int)) {
 	if k <= 0 {
 		return
@@ -375,7 +285,7 @@ func (pl *Pool) Submit(k int, fn func(worker int)) {
 }
 
 // spawnRun runs fn on one freshly spawned goroutine per worker: the path of a
-// closed pool and of schedules wider than the pool.
+// closed pool.
 func spawnRun(k int, fn func(worker int)) {
 	var wg sync.WaitGroup
 	wg.Add(k)
@@ -388,50 +298,8 @@ func spawnRun(k int, fn func(worker int)) {
 	wg.Wait()
 }
 
-// RunSchedule executes body(worker, position) for every position of the
-// schedule, with worker w processing its assigned positions in order. It
-// blocks until all positions are done.
-func (pl *Pool) RunSchedule(s *Schedule, body func(worker, pos int)) {
-	k := len(s.PerWorker)
-	if k > pl.workers {
-		// A schedule wider than the pool cannot be placed on the resident
-		// workers one-to-one; run it on spawned goroutines as before.
-		spawnRun(k, func(w int) {
-			for _, pos := range s.PerWorker[w] {
-				body(w, pos)
-			}
-		})
-		return
-	}
-	pl.Submit(k, func(w int) {
-		for _, pos := range s.PerWorker[w] {
-			body(w, pos)
-		}
-	})
-}
-
-// RunDynamic executes body(worker, position) for positions 0..n-1 using
-// self-scheduling: workers repeatedly claim the next chunk of positions from
-// a shared counter. Within a chunk, positions run in increasing order.
-func (pl *Pool) RunDynamic(n, chunk int, body func(worker, pos int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = DefaultChunk
-	}
-	k := pl.workers
-	if k > n {
-		k = n
-	}
-	var next atomic.Int64
-	pl.Submit(k, func(w int) {
-		DynamicLoop(&next, n, chunk, w, body, nil)
-	})
-}
-
-// DynamicLoop is the self-scheduling claim loop shared by RunDynamic and
-// callers that fuse the executor into a larger Submit (core.Runtime.Run): it
+// DynamicLoop is the self-scheduling claim loop of a Submit shard (the
+// doacross executor and the Section 2.3 variants of core.Runtime): it
 // repeatedly claims chunks from next until the position space [0, n) is
 // exhausted. chunk must be positive. A non-nil stop is consulted before each
 // chunk claim; once it reports true the worker stops claiming and returns,
@@ -573,21 +441,4 @@ func (pl *Pool) ParallelFor(n int, body func(i int)) {
 			body(i)
 		}
 	})
-}
-
-// Build constructs a schedule of n positions over p workers with the given
-// policy. Dynamic schedules cannot be materialized ahead of time (the
-// assignment depends on timing), so Build falls back to Cyclic for reporting
-// purposes; use Pool.RunDynamic for true self-scheduling.
-func Build(policy Policy, n, p int) *Schedule {
-	switch policy {
-	case Cyclic:
-		return NewCyclic(n, p)
-	case Dynamic:
-		s := NewCyclic(n, p)
-		s.PolicyUsed = Dynamic
-		return s
-	default:
-		return NewBlock(n, p)
-	}
 }

@@ -9,13 +9,35 @@ import (
 	"testing/quick"
 )
 
-func collect(s *Schedule) []int {
+// collect returns every item of the schedule, sorted.
+func collect(s *LevelSchedule) []int {
 	var all []int
-	for _, l := range s.PerWorker {
-		all = append(all, l...)
+	for l := 0; l < s.Levels(); l++ {
+		for w := 0; w < s.Workers(); w++ {
+			for _, it := range s.Items(l, w) {
+				all = append(all, int(it))
+			}
+		}
 	}
 	sort.Ints(all)
 	return all
+}
+
+// runSchedule runs a position schedule on the pool the way a doacross run
+// does: one Submit whose worker w executes Items(0, w) in order.
+func runSchedule(pool *Pool, s *LevelSchedule, body func(worker, pos int)) {
+	pool.Submit(s.Workers(), func(w int) {
+		for _, pos := range s.Items(0, w) {
+			body(w, int(pos))
+		}
+	})
+}
+
+// runDynamic runs n positions on the pool the way a Dynamic-policy doacross
+// run does: every worker claims chunks from one counter through DynamicLoop.
+func runDynamic(pool *Pool, n, chunk int, body func(worker, pos int)) {
+	var next atomic.Int64
+	pool.Submit(min(pool.Workers(), n), func(w int) { DynamicLoop(&next, n, chunk, w, body, nil) })
 }
 
 func TestBlockRangePartition(t *testing.T) {
@@ -67,7 +89,7 @@ func TestBlockRangeBalance(t *testing.T) {
 }
 
 func TestNewBlockCoversAllPositions(t *testing.T) {
-	s := NewBlock(23, 4)
+	s := NewPositionSchedule(23, Block, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +102,21 @@ func TestNewBlockCoversAllPositions(t *testing.T) {
 			t.Fatalf("missing position %d", i)
 		}
 	}
-	if s.PolicyUsed != Block {
-		t.Error("PolicyUsed should be Block")
+	if s.PolicyUsed != Block || s.Levels() != 1 {
+		t.Errorf("policy %v, %d levels; want block, one level", s.PolicyUsed, s.Levels())
+	}
+	// Block: worker w runs the contiguous range BlockRange(23, 4, w).
+	for w := 0; w < 4; w++ {
+		lo, hi := BlockRange(23, 4, w)
+		items := s.Items(0, w)
+		if len(items) != hi-lo || len(items) > 0 && int(items[0]) != lo {
+			t.Fatalf("worker %d items %v, want [%d,%d)", w, items, lo, hi)
+		}
 	}
 }
 
 func TestNewCyclicCoversAllPositions(t *testing.T) {
-	s := NewCyclic(23, 4)
+	s := NewPositionSchedule(23, Cyclic, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,51 +124,70 @@ func TestNewCyclicCoversAllPositions(t *testing.T) {
 		t.Fatalf("covered %d positions, want 23", len(got))
 	}
 	// Worker 0 under cyclic gets 0, 4, 8, ...
-	if s.PerWorker[0][1] != 4 {
-		t.Errorf("cyclic worker 0 second position = %d, want 4", s.PerWorker[0][1])
+	if got := s.Items(0, 0)[1]; got != 4 {
+		t.Errorf("cyclic worker 0 second position = %d, want 4", got)
 	}
 }
 
 func TestNewBlockClampsWorkers(t *testing.T) {
-	s := NewBlock(3, 10)
-	if s.Workers() != 3 {
-		t.Fatalf("workers = %d, want clamp to 3", s.Workers())
+	// More workers than positions: one position each for the first three,
+	// empty lists for the rest.
+	s := NewPositionSchedule(3, Block, 10)
+	for w := 0; w < s.Workers(); w++ {
+		want := 0
+		if w < 3 {
+			want = 1
+		}
+		if got := len(s.Items(0, w)); got != want {
+			t.Fatalf("worker %d has %d positions, want %d", w, got, want)
+		}
 	}
-	s = NewBlock(5, 0)
+	s = NewPositionSchedule(5, Block, 0)
 	if s.Workers() != 1 {
 		t.Fatalf("workers = %d, want clamp to 1", s.Workers())
 	}
-	s = NewBlock(0, 4)
+	s = NewPositionSchedule(0, Block, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if s.Levels() != 1 || len(s.Items(0, 3)) != 0 {
+		t.Fatalf("empty position schedule: %d levels, worker 3 items %v", s.Levels(), s.Items(0, 3))
 	}
 }
 
 func TestScheduleValidateDetectsErrors(t *testing.T) {
-	bad := NewExplicit([][]int{{0, 1}, {1, 2}}, 4)
-	if err := bad.Validate(); err == nil {
+	// oneLevel builds a one-level, two-worker schedule of n iterations from
+	// explicit per-worker lists, bypassing the constructors.
+	oneLevel := func(n int, w0, w1 []int32) *LevelSchedule {
+		items := append(append([]int32(nil), w0...), w1...)
+		off := []int32{0, int32(len(w0)), int32(len(items))}
+		return &LevelSchedule{items: items, off: off, levels: 1, workers: 2, n: n}
+	}
+	if err := oneLevel(4, []int32{0, 1}, []int32{1, 2}).Validate(); err == nil {
 		t.Error("duplicate position not detected")
 	}
-	missing := NewExplicit([][]int{{0, 1}}, 3)
-	if err := missing.Validate(); err == nil {
+	if err := oneLevel(3, []int32{0, 1}, nil).Validate(); err == nil {
 		t.Error("missing position not detected")
 	}
-	oob := NewExplicit([][]int{{0, 5}}, 3)
-	if err := oob.Validate(); err == nil {
+	if err := oneLevel(3, []int32{0, 5}, []int32{1}).Validate(); err == nil {
 		t.Error("out-of-range position not detected")
 	}
-	ok := NewExplicit([][]int{{2, 0}, {1}}, 3)
-	if err := ok.Validate(); err != nil {
+	nonMonotone := oneLevel(3, []int32{2, 0}, []int32{1})
+	nonMonotone.off[1], nonMonotone.off[2] = 3, 2
+	if err := nonMonotone.Validate(); err == nil {
+		t.Error("non-monotone offsets not detected")
+	}
+	if err := oneLevel(3, []int32{2, 0}, []int32{1}).Validate(); err != nil {
 		t.Errorf("valid explicit schedule rejected: %v", err)
 	}
 }
 
 func TestPoolRunScheduleExecutesEverything(t *testing.T) {
-	s := NewCyclic(100, 5)
+	s := NewPositionSchedule(100, Cyclic, 5)
 	pool := NewPool(5)
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	pool.RunSchedule(s, func(worker, pos int) {
+	runSchedule(pool, s, func(worker, pos int) {
 		mu.Lock()
 		seen[pos]++
 		mu.Unlock()
@@ -154,22 +203,22 @@ func TestPoolRunScheduleExecutesEverything(t *testing.T) {
 }
 
 func TestPoolRunScheduleOrderWithinWorker(t *testing.T) {
-	s := NewBlock(64, 4)
+	s := NewPositionSchedule(64, Block, 4)
 	pool := NewPool(4)
 	var mu sync.Mutex
 	order := make(map[int][]int)
-	pool.RunSchedule(s, func(worker, pos int) {
+	runSchedule(pool, s, func(worker, pos int) {
 		mu.Lock()
 		order[worker] = append(order[worker], pos)
 		mu.Unlock()
 	})
 	for w, got := range order {
-		want := s.PerWorker[w]
+		want := s.Items(0, w)
 		if len(got) != len(want) {
 			t.Fatalf("worker %d executed %d positions, want %d", w, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if got[i] != int(want[i]) {
 				t.Fatalf("worker %d executed out of order: %v vs %v", w, got, want)
 			}
 		}
@@ -180,7 +229,7 @@ func TestPoolRunDynamicCoversAll(t *testing.T) {
 	pool := NewPool(4)
 	var count atomic.Int64
 	seen := make([]atomic.Int32, 1000)
-	pool.RunDynamic(1000, 7, func(worker, pos int) {
+	runDynamic(pool, 1000, 7, func(worker, pos int) {
 		seen[pos].Add(1)
 		count.Add(1)
 	})
@@ -191,15 +240,6 @@ func TestPoolRunDynamicCoversAll(t *testing.T) {
 		if seen[i].Load() != 1 {
 			t.Fatalf("position %d executed %d times", i, seen[i].Load())
 		}
-	}
-}
-
-func TestPoolRunDynamicDefaultChunk(t *testing.T) {
-	pool := NewPool(2)
-	var count atomic.Int64
-	pool.RunDynamic(50, 0, func(worker, pos int) { count.Add(1) })
-	if count.Load() != 50 {
-		t.Fatalf("executed %d, want 50", count.Load())
 	}
 }
 
@@ -230,12 +270,12 @@ func TestPoolParallelForMoreWorkersThanWork(t *testing.T) {
 
 func TestBuildPolicies(t *testing.T) {
 	for _, p := range []Policy{Block, Cyclic, Dynamic} {
-		s := Build(p, 37, 5)
+		s := NewPositionSchedule(37, p, 5)
 		if err := s.Validate(); err != nil {
 			t.Errorf("policy %v: %v", p, err)
 		}
-		if p == Dynamic && s.PolicyUsed != Dynamic {
-			t.Error("Dynamic build should record Dynamic policy")
+		if p == Dynamic && s.PolicyUsed != Cyclic {
+			t.Error("a Dynamic position schedule should degrade to Cyclic")
 		}
 	}
 }
@@ -261,20 +301,18 @@ func TestNewPoolClamp(t *testing.T) {
 func TestPoolZeroAndNegativeWork(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
-	pool.RunDynamic(0, 8, func(worker, pos int) { t.Error("body called for n=0") })
-	pool.RunDynamic(-3, 8, func(worker, pos int) { t.Error("body called for n<0") })
+	runDynamic(pool, 0, 8, func(worker, pos int) { t.Error("body called for n=0") })
 	pool.ParallelFor(0, func(i int) { t.Error("body called for n=0") })
 	pool.Submit(0, func(w int) { t.Error("fn called for k=0") })
 	pool.Submit(-1, func(w int) { t.Error("fn called for k<0") })
-	empty := NewExplicit([][]int{}, 0)
-	pool.RunSchedule(empty, func(worker, pos int) { t.Error("body called for empty schedule") })
+	runSchedule(pool, NewPositionSchedule(0, Block, 4), func(worker, pos int) { t.Error("body called for empty schedule") })
 }
 
 func TestPoolMoreWorkersThanWork(t *testing.T) {
 	pool := NewPool(16)
 	defer pool.Close()
 	var count atomic.Int64
-	pool.RunDynamic(3, 1, func(worker, pos int) {
+	runDynamic(pool, 3, 1, func(worker, pos int) {
 		if worker < 0 || worker >= 3 {
 			t.Errorf("worker %d outside clamped range [0,3)", worker)
 		}
@@ -290,46 +328,19 @@ func TestPoolRunScheduleEmptyWorkerLists(t *testing.T) {
 	// completion of the others.
 	pool := NewPool(4)
 	defer pool.Close()
-	s := NewExplicit([][]int{{0, 2}, nil, {1}, {}}, 3)
+	s := NewPositionSchedule(3, Cyclic, 4)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	var count atomic.Int64
-	pool.RunSchedule(s, func(worker, pos int) {
-		if worker == 1 || worker == 3 {
+	runSchedule(pool, s, func(worker, pos int) {
+		if worker == 3 {
 			t.Errorf("worker %d has an empty list but executed position %d", worker, pos)
 		}
 		count.Add(1)
 	})
 	if count.Load() != 3 {
 		t.Fatalf("executed %d positions, want 3", count.Load())
-	}
-}
-
-func TestPoolRunScheduleWiderThanPool(t *testing.T) {
-	// A schedule built for more workers than the pool has still executes
-	// every position with the schedule's own worker indices.
-	pool := NewPool(2)
-	defer pool.Close()
-	s := NewCyclic(40, 8)
-	seen := make([]atomic.Int32, 40)
-	maxWorker := atomic.Int32{}
-	pool.RunSchedule(s, func(worker, pos int) {
-		seen[pos].Add(1)
-		for {
-			cur := maxWorker.Load()
-			if int32(worker) <= cur || maxWorker.CompareAndSwap(cur, int32(worker)) {
-				break
-			}
-		}
-	})
-	for i := range seen {
-		if seen[i].Load() != 1 {
-			t.Fatalf("position %d executed %d times", i, seen[i].Load())
-		}
-	}
-	if maxWorker.Load() != 7 {
-		t.Fatalf("max worker index %d, want 7", maxWorker.Load())
 	}
 }
 
@@ -345,9 +356,9 @@ func TestPoolReuseAcrossPhases(t *testing.T) {
 	for phase := 0; phase < 200; phase++ {
 		switch phase % 3 {
 		case 0:
-			pool.RunSchedule(NewBlock(64, 4), func(worker, pos int) { count.Add(1) })
+			runSchedule(pool, NewPositionSchedule(64, Block, 4), func(worker, pos int) { count.Add(1) })
 		case 1:
-			pool.RunDynamic(64, 7, func(worker, pos int) { count.Add(1) })
+			runDynamic(pool, 64, 7, func(worker, pos int) { count.Add(1) })
 		default:
 			pool.ParallelFor(64, func(i int) { count.Add(1) })
 		}

@@ -110,9 +110,13 @@ func Loop(t *sparse.Triangular, rhs []float64) (*core.Loop, error) {
 // the columns of row rows[k].
 func Graph(t *sparse.Triangular) *depgraph.Graph {
 	rows := rowMap(t)
-	return depgraph.BuildFromWriterIndex(t.N, rows, func(k int) []int {
-		i := rows[k]
-		return t.Col[t.RowPtr[i]:t.RowPtr[i+1]]
+	return depgraph.Build(depgraph.Access{
+		N:      t.N,
+		Writes: func(k int) []int { return rows[k : k+1] },
+		Reads: func(k int) []int {
+			i := rows[k]
+			return t.Col[t.RowPtr[i]:t.RowPtr[i+1]]
+		},
 	})
 }
 

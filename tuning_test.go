@@ -1,22 +1,22 @@
 // Acceptance suite for the online self-tuning Auto selection
-// (WithOnlineTuning): convergence from deliberately wrong seed coefficients
-// on a loop with a decisive executor winner and on the paper's SPE2
-// triangular solve, post-run report stamping, concurrent-feedback
-// reconciliation against the metrics collector, and the WithAutoCosts freeze.
+// (WithOnlineTuning): the deterministic parts of the recovery from
+// deliberately wrong seed coefficients on a loop with a decisive executor
+// winner and on the paper's SPE2 triangular solve (their host-timing claims
+// are experiments.CheckTuning and CheckTuningSettle, run by doabench -check),
+// post-run report stamping, concurrent-feedback reconciliation against the
+// metrics collector, and the WithAutoCosts freeze.
 package doacross_test
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"doacross"
 	"doacross/internal/experiments"
-	"doacross/internal/machine"
-	"doacross/internal/tune"
 )
 
 // tuningChainLoop builds a pure dependency chain: iteration i writes element
@@ -57,160 +57,58 @@ func misledToward(executor string) doacross.AutoCosts {
 	return doacross.AutoCosts{BarrierNs: 0.01, FlagCheckNs: 5000, IterNs: 100}
 }
 
-// TestOnlineTuningConvergesOnChain is the convergence acceptance test on the
-// decisive shape: a long dependency chain, where the busy-wait doacross and
-// the barrier-per-level wavefront are typically orders of magnitude apart
-// (which of the two wins depends on how the host schedules spinning
-// workers, so the test measures its own ground truth first). Seeded with
-// coefficients that make the model pick the measured-WORST executor, the
-// tuner must flip to the measured-best one within half the run budget and
-// stay there for every later greedy decision. The exploration seed is fixed,
-// so which runs explore is deterministic; measured times only decide how
-// good each executor looks, and on a chain that ordering is not close.
+// TestOnlineTuningConvergesOnChain pins the deterministic part of the chain
+// recovery run: seeded with coefficients that mislead the model toward either
+// contested executor, run 0 greedily picks that executor, seed 5 explores
+// exactly runs 3, 20 and 27 (one Float64 draw per decision), both contested
+// arms get measured and the tuner tracks one plan. Whether measured feedback
+// then flips the pick to the faster executor depends on the host's timing:
+// experiments.CheckTuning asserts that on the same chain, seed and budget
+// (convergence within half the budget, the best arm's moving average below
+// the worst arm's, and the simulator replaying those averages converging
+// too), run by doabench -experiment tuning -check in CI. So this test
+// measures no ground truth and never skips.
 func TestOnlineTuningConvergesOnChain(t *testing.T) {
-	const n, workers, truthReps, runs = 512, 4, 3, 30
+	const n, workers, runs = 512, 4, 30
 	l := tuningChainLoop(n)
-
-	// Ground truth: best executor-phase time of each contested executor.
-	truthOf := func(kind doacross.ExecutorKind) int64 {
-		rt, err := doacross.New(n, doacross.WithWorkers(workers), doacross.WithExecutor(kind))
+	for _, misled := range []string{"doacross", "wavefront"} {
+		rt, err := doacross.New(n,
+			doacross.WithWorkers(workers),
+			doacross.WithExecutor(doacross.Auto),
+			doacross.WithOnlineTuning(doacross.TuningOptions{
+				InitialCosts: misledToward(misled),
+				Seed:         5,
+			}),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rt.Close()
 		y := make([]float64, n)
-		best := int64(0)
-		for rep := 0; rep < truthReps; rep++ {
-			r, err := rt.Run(context.Background(), l, y)
+		var explored []int
+		for r := 0; r < runs; r++ {
+			rep, err := rt.Run(context.Background(), l, y)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ns := r.ExecTime.Nanoseconds(); best == 0 || ns < best {
-				best = ns
+			if r == 0 && (rep.Explored || rep.Executor != misled) {
+				t.Fatalf("misled toward %s: run 0 ran %q (explored %v); the seed coefficients should make it a greedy %s pick",
+					misled, rep.Executor, rep.Explored, misled)
+			}
+			if rep.Explored {
+				explored = append(explored, r)
 			}
 		}
-		return best
-	}
-	daNs, wfNs := truthOf(doacross.Doacross), truthOf(doacross.Wavefront)
-	bestName, worstName := "doacross", "wavefront"
-	if wfNs < daNs {
-		bestName, worstName = "wavefront", "doacross"
-	}
-	lo, hi := daNs, wfNs
-	if hi < lo {
-		lo, hi = hi, lo
-	}
-	t.Logf("chain ground truth (best of %d): doacross=%v wavefront=%v", truthReps,
-		time.Duration(daNs), time.Duration(wfNs))
-	if hi < 3*lo {
-		t.Skipf("executor margin on this host is only %.2fx; the flip assertion needs a decisive winner", float64(hi)/float64(lo))
-	}
-
-	// Seed 5 explores at runs 3, 20 and 27 (one Float64 draw per decision):
-	// run 0 is greedy — the misled model's pick — and the first exploration
-	// arrives early enough to escape the wrong arm's lock-in within budget.
-	// (Lock-in is real: once the mispriced arm has a measured average, the
-	// other arm's model prediction — computed from the same wrong
-	// coefficients — looks even worse, so greedy alone would never leave.)
-	rt, err := doacross.New(n,
-		doacross.WithWorkers(workers),
-		doacross.WithExecutor(doacross.Auto),
-		doacross.WithOnlineTuning(doacross.TuningOptions{
-			InitialCosts: misledToward(worstName),
-			Seed:         5,
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	y := make([]float64, n)
-
-	type decision struct {
-		executor string
-		explored bool
-	}
-	var hist []decision
-	for r := 0; r < runs; r++ {
-		rep, err := rt.Run(context.Background(), l, y)
-		if err != nil {
-			t.Fatal(err)
+		if !slices.Equal(explored, []int{3, 20, 27}) {
+			t.Errorf("misled toward %s: explored runs %v, want seed 5's [3 20 27]", misled, explored)
 		}
-		hist = append(hist, decision{rep.Executor, rep.Explored})
-	}
-
-	if hist[0].explored {
-		t.Fatalf("run 0 explored; the seed is meant to make it a greedy decision")
-	}
-	if hist[0].executor != worstName {
-		t.Fatalf("run 0 picked %q; the wrong seed coefficients should mislead the model into %q", hist[0].executor, worstName)
-	}
-
-	// Converged-at: the first run from which every greedy decision picked
-	// the measured-best executor (explorations are deliberate detours and
-	// excluded).
-	converged := -1
-	for i := len(hist) - 1; i >= 0; i-- {
-		if !hist[i].explored && hist[i].executor != bestName {
-			break
+		snap := rt.TuningSnapshot()
+		rt.Close()
+		if len(snap.Plans) != 1 {
+			t.Fatalf("misled toward %s: tuner tracks %d plans, want 1", misled, len(snap.Plans))
 		}
-		if !hist[i].explored {
-			converged = i
+		if p := snap.Plans[0]; p.Doacross.Observations == 0 || p.Wavefront.Observations == 0 {
+			t.Errorf("misled toward %s: both contested arms should have been measured: %+v", misled, p)
 		}
-	}
-	if converged < 0 {
-		t.Fatalf("tuner never settled on %q: %+v", bestName, hist)
-	}
-	if converged > runs/2 {
-		t.Errorf("tuner settled only at run %d of %d", converged, runs)
-	}
-	greedyAfter := 0
-	for _, d := range hist[converged:] {
-		if !d.explored {
-			greedyAfter++
-		}
-	}
-	if greedyAfter < 5 {
-		t.Errorf("only %d greedy runs after convergence; the stay-converged evidence is too thin", greedyAfter)
-	}
-
-	snap := rt.TuningSnapshot()
-	if len(snap.Plans) != 1 {
-		t.Fatalf("tuner tracks %d plans, want 1", len(snap.Plans))
-	}
-	p := snap.Plans[0]
-	if p.Doacross.Observations == 0 || p.Wavefront.Observations == 0 {
-		t.Fatalf("both contested arms should have been measured: %+v", p)
-	}
-	emaBest, emaWorst := p.Doacross.EMANs, p.Wavefront.EMANs
-	if bestName == "wavefront" {
-		emaBest, emaWorst = emaWorst, emaBest
-	}
-	if emaBest >= emaWorst {
-		t.Errorf("measured averages contradict the ground truth: %s %v >= %s %v",
-			bestName, emaBest, worstName, emaWorst)
-	}
-
-	// The simulator predicts the same trajectory shape: feeding the measured
-	// averages in as ground truth, SimulateTuning with the same seed and seed
-	// coefficients must converge to the same arm within the same budget.
-	st, err := rt.Inspect(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := machine.TuningTruth{DoacrossNs: p.Doacross.EMANs, WavefrontNs: p.Wavefront.EMANs}
-	traj := machine.SimulateTuning(truth, st, workers, 1, runs,
-		tune.Options{InitialCosts: misledToward(worstName), Seed: 5})
-	wantArm := tune.Doacross
-	if bestName == "wavefront" {
-		wantArm = tune.Wavefront
-	}
-	if best := truth.BestArm(); best != wantArm {
-		t.Fatalf("simulator best arm = %d under the measured truth, want %d", best, wantArm)
-	}
-	if traj.ConvergedAt < 0 || traj.ConvergedAt > runs/2 {
-		t.Errorf("simulator trajectory converged at %d, live tuner at %d — they should agree within the budget",
-			traj.ConvergedAt, converged)
 	}
 }
 
