@@ -357,9 +357,12 @@ func WithTrace() Option {
 	return func(c *config) { c.opts.CollectTrace = true }
 }
 
-// WithEpochTables replaces the paper's postprocessing reset protocol with
-// epoch-versioned tables that reset in O(1). Results are identical; this is
-// a design-choice ablation.
+// WithEpochTables picks the postprocessing step only: instead of the paper's
+// per-element reset of every written iter entry and ready flag, the
+// runtime's iter table and ready array each advance their epoch once, an
+// O(1) reset. The tables, the dependence check and the wait strategies are
+// the same either way. Results are identical; this is a design-choice
+// ablation.
 func WithEpochTables() Option {
 	return func(c *config) { c.opts.UseEpochTables = true }
 }
@@ -463,7 +466,7 @@ func (r *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report, 
 // RunDoall executes the loop as a doall — no dependency checks, no
 // synchronization, writes applied directly to y. It is only correct for
 // loops with no cross-iteration dependencies and exists as the
-// zero-overhead baseline of the paper's experiments.
+// zero-overhead baseline the doacross's overhead is measured against.
 func (r *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 	return r.rt.RunDoall(l, y)
 }

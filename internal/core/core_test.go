@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"doacross/internal/depgraph"
 	"doacross/internal/flags"
@@ -182,7 +183,7 @@ func TestDoacrossEpochTablesAgree(t *testing.T) {
 		t.Fatalf("epoch tables: mismatch %v", d)
 	}
 	if !rt.ScratchClean() {
-		t.Error("epoch runtime should always report clean scratch")
+		t.Error("epoch tables not clean after the run's Advance")
 	}
 }
 
@@ -232,9 +233,8 @@ func TestRuntimeReuseAcrossDifferentSizes(t *testing.T) {
 }
 
 func TestEpochTablesAllWaitStrategies(t *testing.T) {
-	// Every wait strategy must work with the epoch-table ablation; before
-	// EpochFlags.Wait took a strategy, the configured strategy was silently
-	// dropped and the wait always busy-spun.
+	// Every wait strategy must work with the epoch-table ablation, whose
+	// waits compare a ready slot with an advanced epoch rather than 1.
 	rng := rand.New(rand.NewSource(31))
 	l, y := randomFigure1(rng, 120)
 	seq := append([]float64(nil), y...)
@@ -401,6 +401,19 @@ func TestValuesAccessors(t *testing.T) {
 	}
 	if y[0] != 8 || y[1] != 8 {
 		t.Errorf("y = %v, want first two elements 8", y)
+	}
+}
+
+// TestValuesStrideIsTwoCacheLines pins the per-worker Values stride at 128
+// bytes on 64-bit platforms: at 120, one worker's counter increments shared
+// a cache line with the check pointer its neighbour reads on every Load,
+// which slowed two-worker runs measurably.
+func TestValuesStrideIsTwoCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the stride is laid out for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Values{}); got != 128 {
+		t.Errorf("unsafe.Sizeof(Values{}) = %d, want 128", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"doacross/internal/depgraph"
-	"doacross/internal/flags"
 	"doacross/internal/sched"
 	"doacross/internal/tune"
 )
@@ -239,45 +238,6 @@ func (p *wavefrontPlan) staticSchedule(policy sched.Policy) *sched.LevelSchedule
 	return p.static
 }
 
-// table returns the plan's writer index as the executor's dependency
-// classifier.
-func (p *wavefrontPlan) table() writerTable { return planTable{p.writer} }
-
-// planTable classifies reads against a dense writer index (writer[e] is the
-// iteration writing element e, -1 if none). For a wavefront plan it is the
-// analogue of the doacross iter table, filled once at plan time instead of
-// once per run; RunOracle fills one before its run.
-type planTable struct{ writer []int32 }
-
-func (t planTable) Classify(e, i int) (flags.Dependence, int64) {
-	w := t.writer[e]
-	switch {
-	case w < 0:
-		return flags.AntiOrNone, flags.MaxInt
-	case int(w) < i:
-		return flags.TrueDep, int64(w)
-	case int(w) == i:
-		return flags.SelfDep, int64(w)
-	default:
-		return flags.AntiOrNone, int64(w)
-	}
-}
-func (planTable) Record(e, i int) {}
-func (t planTable) Len() int      { return len(t.writer) }
-
-// levelReady implements readyWaiter for pre-scheduled execution: the level
-// barrier guarantees every true dependency was produced in an earlier,
-// completed level, so waits return satisfied immediately and no flags exist
-// to set, clear or wake.
-type levelReady struct{}
-
-func (levelReady) Set(e int)         {}
-func (levelReady) IsDone(e int) bool { return true }
-func (levelReady) WaitFor(e int, s flags.WaitStrategy, cancelled *atomic.Bool) (int, bool) {
-	return 0, true
-}
-func (levelReady) WakeAll() {}
-
 // maxCachedPlans bounds the runtime's schedule cache. A runtime is typically
 // bound to one loop shape (a Solver) or a handful (an ILU pair, a sweep);
 // when the cap is hit the cache is dropped wholesale rather than tracking
@@ -495,8 +455,6 @@ func (doacrossExecutor) name() string { return "doacross" }
 
 func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	rt := e.rt
-	tab := rt.table()
-	ready := rt.waiter()
 	// Wake no more workers than there are iterations: with fewer positions
 	// than workers, the surplus would only rendezvous at the phase barriers
 	// for zero work (the pre-pool phases applied the same clamp).
@@ -507,7 +465,7 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 	if k < 1 {
 		k = 1
 	}
-	body := rt.execBody(l, y, tab, ready)
+	body := rt.execBody(l, y, depCheck{iter: rt.iter, ready: rt.ready})
 
 	dynamic := rt.opts.Policy == sched.Dynamic
 	chunk := rt.chunk()
@@ -529,7 +487,7 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 		rt.guard("loop Writes (inspector)", func() {
 			for i := lo; i < hi; i++ {
 				for _, e := range l.Writes(i) {
-					tab.Record(e, i)
+					rt.iter.Record(e, i)
 				}
 			}
 		})
@@ -567,8 +525,8 @@ func (e doacrossExecutor) execute(l *Loop, y []float64, rep *Report) {
 		})
 	})
 	if useEpoch {
-		rt.eIter.Advance()
-		rt.eReady.Advance()
+		rt.iter.Advance()
+		rt.ready.Advance()
 	}
 	total := time.Since(start)
 
@@ -637,7 +595,9 @@ func (e wavefrontExecutor) execute(l *Loop, y []float64, rep *Report) {
 	levels := plan.levels.Count()
 	rep.Levels = levels
 
-	body := rt.execBody(l, y, plan.table(), levelReady{})
+	// The level barrier guarantees every true dependency was produced in an
+	// earlier, completed level, so the check has no ready flags to wait on.
+	body := rt.execBody(l, y, depCheck{writer: plan.writer})
 
 	chunk := rt.chunk()
 	k := plan.workers

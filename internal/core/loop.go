@@ -20,8 +20,9 @@
 //
 // The package also provides the paper's Section 2.3 variants (the
 // strip-mined/blocked doacross and the linear-subscript doacross that needs
-// no inspector), plus baseline executors (sequential, doall, oracle doacross)
-// used by the experiments.
+// no inspector), plus baselines: the sequential loop every result is checked
+// against, and the doall and the oracle doacross (a-priori dependences),
+// which tests and benchmarks run but no experiment does.
 package core
 
 import (
@@ -199,25 +200,20 @@ func (l *Loop) writerScratch(upto int) (*[]int, []int) {
 type Values struct{ iterState }
 
 // iterState is the per-iteration state behind Values and MultiValues: the
-// dependency classifier and ready flags of the run, the old and new arrays
-// (one value per element, or one row per element for a MultiValues, whose
-// row width is set per block), the abort flag, the failure record, the
-// access recorder and the dependency counters. One reset, one access-check
-// arming and one violation test serve both handles. Its size is the
-// per-worker Values stride, which decides which hot fields of neighbouring
-// workers share a cache line; keep fields that are constant for a run out of
-// it.
+// run's dependence check, the old and new arrays (one value per element, or
+// one row per element for a MultiValues, whose row width is set per block),
+// the failure record, the access recorder and the dependency counters. The
+// check and the arrays are per run, the rest per iteration. One reset, one
+// classification (fresh), one access-check arming and one violation test
+// serve both handles. Its size is the per-worker Values stride: padded to 128
+// bytes, two cache lines, so no line holds two workers' Values and a
+// worker's counter increments never evict the check pointer its neighbour
+// reads on every Load. Keep fields that are constant for a run behind chk.
 type iterState struct {
-	iter     writerTable
-	ready    readyWaiter
-	old      []float64
-	new      []float64
-	i        int
-	strategy flags.WaitStrategy
-	// cancel, when non-nil, is the run's abort flag: waits on unsatisfied
-	// true dependencies give up once it is set, so an aborted run can never
-	// deadlock on an iteration that will not execute.
-	cancel *atomic.Bool
+	chk *depCheck
+	old []float64
+	new []float64
+	i   int
 	// failErr records a failure reported through Fail (or a cancelled wait);
 	// the runtime aborts the run when the body returns with it set.
 	failErr error
@@ -231,19 +227,17 @@ type iterState struct {
 	truedeps   int
 	selfdeps   int
 	antiOrNone int
+	_          [8]byte
 }
 
 // reset arms the state for iteration i. The fields are assigned one by one:
 // a single struct-literal assignment compiles to a bulk typed copy that costs
 // measurably more on this per-iteration path.
-func (s *iterState) reset(t writerTable, r readyWaiter, old, new []float64, i int, st flags.WaitStrategy, cancel *atomic.Bool) {
-	s.iter = t
-	s.ready = r
+func (s *iterState) reset(chk *depCheck, old, new []float64, i int) {
+	s.chk = chk
 	s.old = old
 	s.new = new
 	s.i = i
-	s.strategy = st
-	s.cancel = cancel
 	s.failErr = nil
 	s.rec = nil
 	s.waits = 0
@@ -252,23 +246,74 @@ func (s *iterState) reset(t writerTable, r readyWaiter, old, new []float64, i in
 	s.antiOrNone = 0
 }
 
-// writerTable abstracts IterTable and EpochIterTable.
-type writerTable interface {
-	Classify(e, i int) (flags.Dependence, int64)
-	Record(e, i int)
-	Len() int
+// depCheck is one run's execution-time dependence check, statements S3–S8
+// of the paper's Figure 5: find the iteration that writes an element, compare
+// it with the reading iteration, and wait on the element's ready flag when
+// the writer is earlier. Every worker's iterState points at the runtime's one
+// copy for the run.
+type depCheck struct {
+	// The writer source: a plan's dense writer index (the wavefronts and
+	// RunOracle; -1 means no writer), else the doacross's inspector-filled
+	// iter table, else RunLinear's subscript over n iterations. The zero
+	// value knows no writer, so every read sees the old array, which is all
+	// the runs that alias old and new need (RunSequential,
+	// RunSequentialMulti, RunDoall).
+	writer []int32
+	iter   *flags.IterTable
+	linear LinearSubscript
+	n      int
+	// ready is what a true dependence waits on; nil after a level barrier,
+	// which has already produced every earlier writer's element.
+	ready    *flags.ReadyFlags
+	strategy flags.WaitStrategy
+	// cancel, when non-nil, is the run's abort flag: waits on unsatisfied
+	// true dependencies give up once it is set, so an aborted run can never
+	// deadlock on an iteration that will not execute.
+	cancel *atomic.Bool
 }
 
-// readyWaiter abstracts ReadyFlags and EpochFlags. WaitFor blocks until
-// element e is produced or cancelled (which may be nil) becomes true; it
-// returns the number of polls performed and whether the element was actually
-// produced. WakeAll releases waiters parked by the notify strategy so they
-// can observe a cancellation.
-type readyWaiter interface {
-	Set(e int)
-	IsDone(e int) bool
-	WaitFor(e int, strategy flags.WaitStrategy, cancelled *atomic.Bool) (int, bool)
-	WakeAll()
+// writerOf returns the iteration that writes element e, or flags.MaxInt if
+// none does.
+func (c *depCheck) writerOf(e int) int64 {
+	switch {
+	case c.writer != nil:
+		if w := c.writer[e]; w >= 0 {
+			return int64(w)
+		}
+	case c.iter != nil:
+		return c.iter.Writer(e)
+	case c.linear.C != 0:
+		if w := c.linear.Writer(e, c.n); w >= 0 {
+			return int64(w)
+		}
+	}
+	return flags.MaxInt
+}
+
+// fresh classifies a read of element e by the iteration and counts it: a
+// true dependence waits for its writer and reads the new array, a self
+// dependence reads the new array at once, and an anti-dependence or an
+// unwritten element reads the old one. It reports whether the read sees the
+// new array. A wait cut short by the run's abort reads the old array; the
+// aborted run's result is discarded, so that value is never observed.
+func (s *iterState) fresh(e int) bool {
+	c := s.chk
+	w, i := c.writerOf(e), int64(s.i)
+	switch {
+	case w < i:
+		s.truedeps++
+		if c.ready == nil {
+			return true
+		}
+		polls, ok := c.ready.WaitCancel(e, c.strategy, c.cancel)
+		s.waits += polls
+		return ok
+	case w == i:
+		s.selfdeps++
+		return true
+	}
+	s.antiOrNone++
+	return false
 }
 
 // Iteration returns the original index of the iteration the body is
@@ -293,23 +338,10 @@ func (v *Values) Load(e int) float64 {
 	if v.rec != nil {
 		v.rec.noteLoad(e)
 	}
-	dep, _ := v.iter.Classify(e, v.i)
-	switch dep {
-	case flags.TrueDep:
-		v.truedeps++
-		polls, ok := v.ready.WaitFor(e, v.strategy, v.cancel)
-		v.waits += polls
-		if !ok {
-			return v.old[e]
-		}
+	if v.fresh(e) {
 		return v.new[e]
-	case flags.SelfDep:
-		v.selfdeps++
-		return v.new[e]
-	default:
-		v.antiOrNone++
-		return v.old[e]
 	}
+	return v.old[e]
 }
 
 // LoadOld returns the value element e had before the loop started, without
@@ -367,30 +399,15 @@ func RunSequential(l *Loop, y []float64) error {
 	if l.Body == nil && l.BodyErr == nil {
 		return fmt.Errorf("core: loop has neither Body nor BodyErr")
 	}
-	v := &Values{}
+	// Old and new alias y and the zero check knows no writer, so every Load
+	// returns the current contents of y, which already reflect all earlier
+	// writes.
+	v, chk := &Values{}, &depCheck{}
 	for i := 0; i < l.N; i++ {
-		v.reset(seqTable{}, seqReady{}, y, y, i, flags.WaitSpin, nil)
+		v.reset(chk, y, y, i)
 		if err := l.run(i, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// seqTable classifies every read as a self dependence so Load returns the
-// current contents of y (which already reflects all earlier writes, because
-// old and new alias the same array in RunSequential).
-type seqTable struct{}
-
-func (seqTable) Classify(e, i int) (flags.Dependence, int64) { return flags.SelfDep, int64(i) }
-func (seqTable) Record(e, i int)                             {}
-func (seqTable) Len() int                                    { return 0 }
-
-type seqReady struct{}
-
-func (seqReady) Set(e int)         {}
-func (seqReady) IsDone(e int) bool { return true }
-func (seqReady) WaitFor(e int, s flags.WaitStrategy, cancelled *atomic.Bool) (int, bool) {
-	return 0, true
-}
-func (seqReady) WakeAll() {}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-
-	"doacross/internal/flags"
 )
 
 // This file implements the blocked multi-RHS execution path: one traversal of
@@ -80,23 +78,10 @@ func (v *MultiValues) LoadRow(e int) []float64 {
 	if v.rec != nil {
 		v.rec.noteLoad(e)
 	}
-	dep, _ := v.iter.Classify(e, v.i)
-	switch dep {
-	case flags.TrueDep:
-		v.truedeps++
-		polls, ok := v.ready.WaitFor(e, v.strategy, v.cancel)
-		v.waits += polls
-		if !ok {
-			return v.old[e*v.nc : (e+1)*v.nc]
-		}
+	if v.fresh(e) {
 		return v.new[e*v.nc : (e+1)*v.nc]
-	case flags.SelfDep:
-		v.selfdeps++
-		return v.new[e*v.nc : (e+1)*v.nc]
-	default:
-		v.antiOrNone++
-		return v.old[e*v.nc : (e+1)*v.nc]
 	}
+	return v.old[e*v.nc : (e+1)*v.nc]
 }
 
 // Load returns the value of element e in block-local column c. It is a
@@ -238,12 +223,11 @@ func RunSequentialMulti(l *Loop, ys [][]float64) error {
 			row[c] = ys[c][e]
 		}
 	}
-	v := &MultiValues{nc: nc}
+	// Old and new alias the same buffer and the zero check knows no writer,
+	// exactly as in RunSequential, so LoadRow returns the current contents.
+	v, chk := &MultiValues{nc: nc}, &depCheck{}
 	for i := 0; i < l.N; i++ {
-		// Old and new alias the same buffer and every read classifies as a
-		// self dependence, exactly as RunSequential's seqTable arranges, so
-		// LoadRow returns the current contents.
-		v.reset(seqTable{}, seqReady{}, buf, buf, i, flags.WaitSpin, nil)
+		v.reset(chk, buf, buf, i)
 		l.BodyMulti(i, v)
 		if v.failErr != nil {
 			return v.failErr

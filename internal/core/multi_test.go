@@ -311,15 +311,17 @@ func TestRunMultiFailureAndCancellation(t *testing.T) {
 		}
 	}
 	for _, exec := range []ExecutorKind{ExecDoacross, ExecWavefront, ExecWavefrontDynamic} {
-		rt := NewRuntime(n, Options{Workers: 4, Executor: exec})
-		ys := [][]float64{make([]float64, n), make([]float64, n)}
-		if _, err := rt.RunMulti(context.Background(), l, ys); !errors.Is(err, bang) {
-			t.Errorf("executor %v: got %v, want %v", exec, err, bang)
+		for _, epoch := range []bool{false, true} {
+			rt := NewRuntime(n, Options{Workers: 4, Executor: exec, UseEpochTables: epoch})
+			ys := [][]float64{make([]float64, n), make([]float64, n)}
+			if _, err := rt.RunMulti(context.Background(), l, ys); !errors.Is(err, bang) {
+				t.Errorf("executor %v epoch=%v: got %v, want %v", exec, epoch, err, bang)
+			}
+			if !rt.ScratchClean() {
+				t.Errorf("executor %v epoch=%v: scratch dirty after failed multi run", exec, epoch)
+			}
+			rt.Close()
 		}
-		if !rt.ScratchClean() {
-			t.Errorf("executor %v: scratch dirty after failed multi run", exec)
-		}
-		rt.Close()
 	}
 
 	// Cancellation from within a body: the watcher aborts the run.

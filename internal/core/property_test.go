@@ -105,17 +105,21 @@ func TestPropertyReorderedEquivalentToSequential(t *testing.T) {
 
 // TestPropertyScratchAlwaysCleanAfterRun checks the paper's reuse invariant:
 // after postprocessing, every iter entry is back to MAXINT and every ready
-// flag back to NOTDONE, whatever the loop looked like.
+// flag back to NOTDONE, whatever the loop looked like, under both reset
+// protocols and over three back-to-back runs of different loops on one
+// runtime.
 func TestPropertyScratchAlwaysCleanAfterRun(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, epochBit uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 20 + rng.Intn(80)
-		l, y := randomFigure1(rng, n)
-		rt := NewRuntime(l.Data, Options{Workers: 3, WaitStrategy: flags.WaitSpinYield})
-		if _, err := rt.Run(l, y); err != nil {
-			return false
+		rt := NewRuntime(200, Options{Workers: 3, WaitStrategy: flags.WaitSpinYield, UseEpochTables: epochBit%2 == 0})
+		defer rt.Close()
+		for run := 0; run < 3; run++ {
+			l, y := randomFigure1(rng, 20+rng.Intn(80))
+			if _, err := rt.Run(l, y); err != nil || !rt.ScratchClean() {
+				return false
+			}
 		}
-		return rt.ScratchClean()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

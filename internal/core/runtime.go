@@ -36,9 +36,12 @@ type Options struct {
 	// default (zero value) is the paper's busy wait; WaitSpinYield is
 	// recommended when Workers exceeds GOMAXPROCS.
 	WaitStrategy flags.WaitStrategy
-	// UseEpochTables replaces the MAXINT/NOTDONE reset protocol of the
-	// paper's postprocessing phase with epoch-versioned tables that reset in
-	// O(1). This is a design-choice ablation; results are identical.
+	// UseEpochTables picks the postprocessing step: instead of the paper's
+	// per-element reset of every written iter entry to MAXINT and ready flag
+	// to NOTDONE, the runtime's one iter table and one ready array each
+	// advance their epoch once, an O(1) reset. The tables and the dependence
+	// check are the same either way. This is a design-choice ablation;
+	// results are identical.
 	UseEpochTables bool
 	// Order, when non-nil, is the execution order produced by a doconsider
 	// reordering: position k of the parallel loop executes original
@@ -167,9 +170,10 @@ type Runtime struct {
 	dataLen int
 	iter    *flags.IterTable
 	ready   *flags.ReadyFlags
-	eIter   *flags.EpochIterTable
-	eReady  *flags.EpochFlags
 	ynew    []float64
+	// chk is the running execution's dependence check (see execBody); every
+	// worker's Values points at it.
+	chk depCheck
 
 	// Per-worker scratch reused across runs so the hot path of an iterative
 	// driver (a Krylov solve calling Run thousands of times) allocates
@@ -303,6 +307,8 @@ func NewRuntime(dataLen int, opts Options) *Runtime {
 		opts:     opts,
 		pool:     sched.NewPool(opts.Workers),
 		dataLen:  dataLen,
+		iter:     flags.NewIterTable(dataLen),
+		ready:    flags.NewReadyFlags(dataLen),
 		ynew:     make([]float64, dataLen),
 		counters: make([]execCounters, opts.Workers),
 		vals:     make([]Values, opts.Workers),
@@ -313,18 +319,8 @@ func NewRuntime(dataLen int, opts Options) *Runtime {
 	if opts.Tuning != nil {
 		rt.tuner = newTuner(*opts.Tuning)
 	}
-	if opts.UseEpochTables {
-		rt.eIter = flags.NewEpochIterTable(dataLen)
-		rt.eReady = flags.NewEpochFlags(dataLen)
-		if opts.WaitStrategy == flags.WaitNotify {
-			rt.eReady.EnableNotify()
-		}
-	} else {
-		rt.iter = flags.NewIterTable(dataLen)
-		rt.ready = flags.NewReadyFlags(dataLen)
-		if opts.WaitStrategy == flags.WaitNotify {
-			rt.ready.EnableNotify()
-		}
+	if opts.WaitStrategy == flags.WaitNotify {
+		rt.ready.EnableNotify()
 	}
 	return rt
 }
@@ -385,42 +381,6 @@ func (rt *Runtime) chunk() int {
 	return rt.opts.Chunk
 }
 
-// table and waiter return the active scratch structures behind small adapter
-// types so the executor code is independent of the reset protocol.
-func (rt *Runtime) table() writerTable {
-	if rt.opts.UseEpochTables {
-		return rt.eIter
-	}
-	return rt.iter
-}
-
-func (rt *Runtime) waiter() readyWaiter {
-	if rt.opts.UseEpochTables {
-		return epochWaiter{rt.eReady}
-	}
-	return flagWaiter{rt.ready}
-}
-
-// flagWaiter adapts flags.ReadyFlags to the readyWaiter interface.
-type flagWaiter struct{ f *flags.ReadyFlags }
-
-func (w flagWaiter) Set(e int)         { w.f.Set(e) }
-func (w flagWaiter) IsDone(e int) bool { return w.f.IsDone(e) }
-func (w flagWaiter) WaitFor(e int, s flags.WaitStrategy, cancelled *atomic.Bool) (int, bool) {
-	return w.f.WaitCancel(e, s, cancelled)
-}
-func (w flagWaiter) WakeAll() { w.f.WakeAll() }
-
-// epochWaiter adapts flags.EpochFlags to the readyWaiter interface.
-type epochWaiter struct{ f *flags.EpochFlags }
-
-func (w epochWaiter) Set(e int)         { w.f.Set(e) }
-func (w epochWaiter) IsDone(e int) bool { return w.f.IsDone(e) }
-func (w epochWaiter) WaitFor(e int, s flags.WaitStrategy, cancelled *atomic.Bool) (int, bool) {
-	return w.f.WaitCancel(e, s, cancelled)
-}
-func (w epochWaiter) WakeAll() { w.f.WakeAll() }
-
 // phaseBarrier separates the phases of a fused run: all participants of the
 // submitted job rendezvous between the inspector, executor and postprocessor
 // shards without releasing the workers back to the pool. The last arriver
@@ -470,9 +430,6 @@ func (rt *Runtime) checkRunArgs(l *Loop, y []float64) error {
 func (rt *Runtime) wakeWaiters() func() {
 	if rt.opts.WaitStrategy != flags.WaitNotify {
 		return nil
-	}
-	if rt.opts.UseEpochTables {
-		return rt.eReady.WakeAll
 	}
 	return rt.ready.WakeAll
 }
@@ -736,27 +693,32 @@ type execCounters struct {
 	waitPolls  int64
 }
 
-// execBody arms a run — zeroes the per-worker counters and prepares (or
-// clears) the trace — and builds the per-position body every executor and
-// Run variant with a renaming buffer shares (the fused executors of scalar
-// runs and RunMulti blocks, RunLinear and RunOracle). The returned closure
-// runs one position of the transformed loop: it maps the position through
-// the execution order, seeds the written elements (an armed block's written
-// rows), runs the loop body — Body/BodyErr through the worker's reusable
-// Values, or BodyMulti through its MultiValues when a RunMulti block is
-// armed — marks the written elements ready and accumulates the worker's
-// dependency counters, all through worker-indexed slots, so the hot path
-// stays allocation-free. Once the run is aborted, remaining positions drain
-// without executing their bodies; a failing body aborts the run and leaves
-// its elements unpublished (waiters are released through the cancellable
-// wait instead).
-func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWaiter) func(worker, pos int) {
+// execBody arms a run — installs chk, completed with the runtime's wait
+// strategy and abort flag, as the run's dependence check, zeroes the
+// per-worker counters and prepares (or clears) the trace — and builds the
+// per-position body every executor and Run variant with a renaming buffer
+// shares (the fused executors of scalar runs and RunMulti blocks, RunLinear
+// and RunOracle). The returned closure runs one position of the transformed
+// loop: it maps the position through the execution order, seeds the written
+// elements (an armed block's written rows), runs the loop body — Body/BodyErr
+// through the worker's reusable Values, or BodyMulti through its MultiValues
+// when a RunMulti block is armed — marks the written elements ready (when the
+// check has ready flags) and accumulates the worker's dependency counters,
+// all through worker-indexed slots, so the hot path stays allocation-free.
+// Once the run is aborted, remaining positions drain without executing their
+// bodies; a failing body aborts the run and leaves its elements unpublished
+// (waiters are released through the cancellable wait instead).
+func (rt *Runtime) execBody(l *Loop, y []float64, chk depCheck) func(worker, pos int) {
+	chk.strategy = rt.opts.WaitStrategy
+	chk.cancel = &rt.ab.triggered
+	rt.chk = chk
 	for i := range rt.counters {
 		rt.counters[i] = execCounters{}
 	}
 	traceBase := rt.armTrace(l)
 	order := rt.opts.Order
 	ab := &rt.ab
+	check := &rt.chk
 	// Keep the closure's captures to these and the parameters: every
 	// captured value is loaded and spilled at each call, a measurable cost
 	// per position, so the run's mode (scalar or an armed block) is read
@@ -795,7 +757,7 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 				copy(new[e*nc:(e+1)*nc], old[e*nc:(e+1)*nc])
 			}
 		}
-		s.reset(tab, ready, old, new, i, rt.opts.WaitStrategy, &ab.triggered)
+		s.reset(check, old, new, i)
 		rt.armAccessCheck(s, l, worker, i, writes)
 		var err error
 		if rt.mnc > 0 {
@@ -813,8 +775,10 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 			ab.abort(err)
 			return
 		}
-		for _, e := range writes {
-			ready.Set(e)
+		if check.ready != nil {
+			for _, e := range writes {
+				check.ready.Set(e)
+			}
 		}
 		c := &rt.counters[worker]
 		c.trueDeps += int64(s.truedeps)
@@ -836,13 +800,10 @@ func (rt *Runtime) execBody(l *Loop, y []float64, tab writerTable, ready readyWa
 }
 
 // ScratchClean reports whether the scratch arrays are back in their pristine
-// state (every iter entry MAXINT, every ready flag NOTDONE). It exists so
-// tests can verify the paper's reuse invariant after a run. Epoch-table
-// runtimes are always clean by construction.
+// state (every iter entry MAXINT, every ready flag NOTDONE), under either
+// reset protocol. It exists so tests can verify the paper's reuse invariant
+// after a run.
 func (rt *Runtime) ScratchClean() bool {
-	if rt.opts.UseEpochTables {
-		return true
-	}
 	for e := 0; e < rt.dataLen; e++ {
 		if rt.iter.Writer(e) != flags.MaxInt || rt.ready.IsDone(e) {
 			return false

@@ -108,29 +108,6 @@ func (s LinearSubscript) WritesFunc() func(i int) []int {
 	return func(i int) []int { return []int{s.C*i + s.D} }
 }
 
-// linearTable implements the writerTable interface using the closed-form
-// subscript instead of an inspector-filled array.
-type linearTable struct {
-	sub LinearSubscript
-	n   int
-}
-
-func (t linearTable) Classify(e, i int) (flags.Dependence, int64) {
-	w := t.sub.Writer(e, t.n)
-	switch {
-	case w < 0:
-		return flags.AntiOrNone, flags.MaxInt
-	case w < i:
-		return flags.TrueDep, int64(w)
-	case w == i:
-		return flags.SelfDep, int64(w)
-	default:
-		return flags.AntiOrNone, int64(w)
-	}
-}
-func (t linearTable) Record(e, i int) {}
-func (t linearTable) Len() int        { return 0 }
-
 // RunLinear executes the loop with the linear-subscript variant of Section
 // 2.3: no inspector runs and no iter array is consulted; the dependency check
 // uses the closed-form subscript. The loop's Writes function must agree with
@@ -156,7 +133,7 @@ func (rt *Runtime) RunLinear(l *Loop, y []float64, sub LinearSubscript) (Report,
 	ab := &rt.ab
 	ab.arm(rt.wakeWaiters())
 	// No inspector phase at all — that is the point of the variant.
-	rt.runPositions(l.N, rt.execBody(l, y, linearTable{sub: sub, n: l.N}, rt.waiter()))
+	rt.runPositions(l.N, rt.execBody(l, y, depCheck{linear: sub, n: l.N, ready: rt.ready}))
 	rep.ExecTime = time.Since(start)
 	rep.setCounters(sumCounters(rt.counters))
 
@@ -186,13 +163,16 @@ func (rt *Runtime) RunDoall(l *Loop, y []float64) (Report, error) {
 	rep := rt.reportFor(l, "doall")
 	ab := &rt.ab
 	ab.arm(nil)
+	rt.chk = depCheck{}
 	start := time.Now()
 	body := func(worker, pos int) {
 		if ab.triggered.Load() {
 			return
 		}
+		// Old and new alias y and the zero check knows no writer: no read
+		// is classified as a dependence, none waits.
 		v := &rt.vals[worker]
-		v.reset(seqTable{}, seqReady{}, y, y, pos, rt.opts.WaitStrategy, nil)
+		v.reset(&rt.chk, y, y, pos)
 		if rt.recs != nil {
 			// The doall baseline never consults Writes; fetch it only when
 			// the sanitizer needs the declared pattern.
@@ -266,7 +246,7 @@ func (rt *Runtime) RunOracle(l *Loop, y []float64, preds [][]int32) (Report, err
 		done.WakeAll()
 	})
 
-	iteration := rt.execBody(l, y, planTable{writer}, rt.waiter())
+	iteration := rt.execBody(l, y, depCheck{writer: writer, ready: rt.ready})
 	rt.runPositions(l.N, func(worker, i int) {
 		for _, p := range preds[i] {
 			if _, ok := done.WaitCancel(int(p), rt.opts.WaitStrategy, &ab.triggered); !ok {
@@ -329,6 +309,6 @@ func (rt *Runtime) copyBackReady(l *Loop, y []float64) {
 		}
 	})
 	if epoch {
-		rt.eReady.Advance()
+		rt.ready.Advance()
 	}
 }

@@ -146,8 +146,10 @@ func TestRunTuningExperimentSmoke(t *testing.T) {
 }
 
 // TestCheckTuningSettleClaims pins the near-tie bound on synthetic runs: a
-// settled executor within 1.5x of the fastest truth passes, one beyond it
-// fails, and a settled executor the tuner never observed fails.
+// settled executor whose truth is within 1.5x of the fastest truth passes,
+// one beyond it fails, and a settled executor the tuner never observed fails.
+// The settled executor's moving average does not decide: a fastest pick
+// passes however far its average swung.
 func TestCheckTuningSettleClaims(t *testing.T) {
 	s := TuningSettle{
 		Workers: 2, Runs: 40, TruthReps: 6,
@@ -173,5 +175,23 @@ func TestCheckTuningSettleClaims(t *testing.T) {
 	unobserved.Settled = ""
 	if problems := CheckTuningSettle(unobserved); len(problems) == 0 {
 		t.Errorf("unobserved settled executor not flagged")
+	}
+	// A CI failure of the old mean-against-minimum check: the tuner settled
+	// on the doacross, the fastest executor by the truth, whose 40-run
+	// average had swung to 309us.
+	swung := TuningSettle{
+		Workers: 2, Runs: 40, TruthReps: 6,
+		Truth: map[string]time.Duration{
+			"doacross": 192 * time.Microsecond, "wavefront": 204 * time.Microsecond, "wavefront-dynamic": 422 * time.Microsecond,
+		},
+		Fastest: 192 * time.Microsecond, FirstPick: "doacross", Settled: "doacross", Plans: 1,
+		Arms: map[string]doacross.TuningArm{
+			"doacross":          {Observations: 30, EMANs: 309_000},
+			"wavefront":         {Observations: 5, EMANs: 230_000},
+			"wavefront-dynamic": {Observations: 5, EMANs: 450_000},
+		},
+	}
+	if problems := CheckTuningSettle(swung); len(problems) != 0 {
+		t.Errorf("settle on the fastest executor flagged for its moving average: %v", problems)
 	}
 }

@@ -34,10 +34,11 @@ func ExampleIterTable() {
 	// iteration 2 reading element 4: anti/none (never written)
 }
 
-// ExampleEpochFlags shows the O(1) reset variant of the ready array: instead
-// of clearing every flag in a postprocessing loop, the epoch is advanced.
-func ExampleEpochFlags() {
-	ready := flags.NewEpochFlags(4)
+// ExampleReadyFlags_Advance shows the epoch protocol's O(1) reset of the
+// ready array: instead of clearing every written flag in a postprocessing
+// loop, the epoch is advanced.
+func ExampleReadyFlags_Advance() {
+	ready := flags.NewReadyFlags(4)
 	ready.Set(1)
 	fmt.Println("element 1 done:", ready.IsDone(1))
 	ready.Advance() // next doacross loop: everything not-done again

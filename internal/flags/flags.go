@@ -5,8 +5,13 @@
 //
 // The package mirrors the arrays called ready and iter in Saltz &
 // Mirchandaney, "The Preprocessed Doacross Loop" (ICASE Interim Report 11,
-// 1990), and adds an epoch-versioned variant that removes the need for the
-// postprocessing reset entirely (an ablation of the paper's design).
+// 1990). A runtime holds one ReadyFlags and one IterTable, and either type
+// supports two reset protocols between loops. The paper's protocol resets,
+// in the postprocessing phase, every entry the loop wrote (IterTable.Reset,
+// ReadyFlags.Clear). The epoch protocol, an ablation of the paper's design,
+// calls Advance once instead, which invalidates every entry in O(1). The two
+// protocols share one storage format and one wait loop, so they classify and
+// wait identically.
 package flags
 
 import (
@@ -15,16 +20,9 @@ import (
 	"sync/atomic"
 )
 
-// MaxInt is the sentinel stored in an iter table for elements that are never
+// MaxInt is the sentinel an iter table reports for elements that are never
 // written inside the loop. It corresponds to MAXINT in the paper.
 const MaxInt int64 = math.MaxInt64
-
-// Flag states for ReadyFlags. They correspond to NOTDONE and DONE in the
-// paper's Figure 2.
-const (
-	NotDone int32 = 0
-	Done    int32 = 1
-)
 
 // WaitStrategy selects how an executor waits for a ready flag that has not
 // been set yet. The paper uses a pure busy wait; the other strategies are
@@ -59,21 +57,31 @@ func (w WaitStrategy) String() string {
 	}
 }
 
-// ReadyFlags is the shared array of per-element completion flags. Element e is
-// set to Done once the value of the target array at index e has been produced
-// by its writing iteration.
+// ReadyFlags is the shared array of per-element completion flags: element e
+// is done (the paper's DONE) once the value of the target array at index e
+// has been produced by its writing iteration, and not done (NOTDONE)
+// otherwise.
+//
+// A slot is done when it holds the array's current epoch. The epoch stays 1
+// under the paper's protocol, where Set stores 1 and Clear stores 0; under
+// the epoch protocol Advance moves it on, so every slot set before reads as
+// not done without being touched. The epoch is never 0, the value of a
+// cleared slot.
 //
 // The zero value is not usable; construct with NewReadyFlags.
 type ReadyFlags struct {
-	flags []atomic.Int32
+	epoch atomic.Uint32
+	flags []atomic.Uint32
 	// notify support (only used with WaitNotify)
 	notifier *notifier
 }
 
-// NewReadyFlags creates a flag array of the given length with every element in
-// the NotDone state.
+// NewReadyFlags creates a flag array of the given length with every element
+// not done.
 func NewReadyFlags(n int) *ReadyFlags {
-	return &ReadyFlags{flags: make([]atomic.Int32, n)}
+	r := &ReadyFlags{flags: make([]atomic.Uint32, n)}
+	r.epoch.Store(1)
+	return r
 }
 
 // Len reports the number of elements covered by the flag array.
@@ -88,27 +96,39 @@ func (r *ReadyFlags) EnableNotify() {
 }
 
 // Set marks element e as produced. The store uses release semantics, so a
-// waiter that observes Done also observes the data written before the Set.
+// waiter that observes it also observes the data written before the Set.
 func (r *ReadyFlags) Set(e int) {
-	r.flags[e].Store(Done)
+	r.flags[e].Store(r.epoch.Load())
 	if r.notifier != nil {
 		r.notifier.wake(e)
 	}
 }
 
 // IsDone reports whether element e has been produced.
-func (r *ReadyFlags) IsDone(e int) bool { return r.flags[e].Load() == Done }
+func (r *ReadyFlags) IsDone(e int) bool { return r.flags[e].Load() == r.epoch.Load() }
 
-// Clear resets element e to NotDone. It is used by the postprocessing phase so
-// the flag array can be reused by the next doacross loop.
-func (r *ReadyFlags) Clear(e int) { r.flags[e].Store(NotDone) }
+// Clear marks element e as not produced. The paper's postprocessing phase
+// clears every element the loop wrote so the array can be reused by the next
+// doacross loop.
+func (r *ReadyFlags) Clear(e int) { r.flags[e].Store(0) }
 
-// ClearAll resets every element to NotDone. Unlike the per-element Clear used
-// by the paper's postprocessing loop, ClearAll touches the whole array and is
-// intended for tests and single-use loops.
+// ClearAll marks every element as not produced. Unlike the per-element Clear
+// of the paper's postprocessing loop, it touches the whole array.
 func (r *ReadyFlags) ClearAll() {
 	for i := range r.flags {
-		r.flags[i].Store(NotDone)
+		r.flags[i].Store(0)
+	}
+}
+
+// Advance is the epoch protocol's reset: every element becomes not produced
+// in O(1), without touching the array. When the 32-bit epoch wraps, slots
+// set 2^32 loops ago would read as done again, so the wrap clears the whole
+// array once. Advance must not run concurrently with the array's other
+// methods; the runtime calls it between loops.
+func (r *ReadyFlags) Advance() {
+	if r.epoch.Add(1) == 0 {
+		r.ClearAll()
+		r.epoch.Store(1)
 	}
 }
 
@@ -116,9 +136,9 @@ func (r *ReadyFlags) ClearAll() {
 // starts yielding to the scheduler under WaitSpinYield.
 const spinBeforeYield = 64
 
-// Wait blocks until element e is Done, using the given strategy. It returns
-// the number of polls that were required (0 if the flag was already set),
-// which the tracing layer uses as a proxy for wait time.
+// Wait blocks until element e is produced, using the given strategy. It
+// returns the number of polls that were required (0 if the flag was already
+// set), which the tracing layer uses as a proxy for wait time.
 func (r *ReadyFlags) Wait(e int, strategy WaitStrategy) int {
 	polls, _ := r.WaitCancel(e, strategy, nil)
 	return polls
@@ -131,12 +151,13 @@ func (r *ReadyFlags) Wait(e int, strategy WaitStrategy) int {
 // that park waiters with WaitNotify must call WakeAll after setting
 // cancelled, or parked waiters will not observe it.
 func (r *ReadyFlags) WaitCancel(e int, strategy WaitStrategy, cancelled *atomic.Bool) (polls int, ok bool) {
-	if r.flags[e].Load() == Done {
+	done := r.epoch.Load()
+	if r.flags[e].Load() == done {
 		return 0, true
 	}
 	switch strategy {
 	case WaitSpin:
-		for r.flags[e].Load() != Done {
+		for r.flags[e].Load() != done {
 			if cancelled != nil && cancelled.Load() {
 				return polls, false
 			}
@@ -147,19 +168,19 @@ func (r *ReadyFlags) WaitCancel(e int, strategy WaitStrategy, cancelled *atomic.
 		if r.notifier == nil {
 			// Fall back to yielding spin rather than panicking: the
 			// semantics are identical, only the cost differs.
-			return r.waitSpinYield(e, cancelled)
+			return r.waitSpinYield(e, done, cancelled)
 		}
 		polls = r.notifier.wait(e, func() bool {
-			return r.flags[e].Load() == Done || (cancelled != nil && cancelled.Load())
+			return r.flags[e].Load() == done || (cancelled != nil && cancelled.Load())
 		})
-		return polls, r.flags[e].Load() == Done
+		return polls, r.flags[e].Load() == done
 	default:
-		return r.waitSpinYield(e, cancelled)
+		return r.waitSpinYield(e, done, cancelled)
 	}
 }
 
-func (r *ReadyFlags) waitSpinYield(e int, cancelled *atomic.Bool) (polls int, ok bool) {
-	for r.flags[e].Load() != Done {
+func (r *ReadyFlags) waitSpinYield(e int, done uint32, cancelled *atomic.Bool) (polls int, ok bool) {
+	for r.flags[e].Load() != done {
 		if cancelled != nil && cancelled.Load() {
 			return polls, false
 		}
@@ -181,21 +202,31 @@ func (r *ReadyFlags) WakeAll() {
 }
 
 // IterTable is the execution-time dependency table filled by the inspector:
-// IterTable[e] holds the (original) index of the loop iteration that writes
+// entry e names the (original) index of the loop iteration that writes
 // element e, or MaxInt if no iteration writes it.
+//
+// A slot stores base+i for a write by iteration i and 0 once reset; a slot
+// below base reads as never written. The base stays 1 under the paper's
+// protocol, which resets every written entry after the loop, so any
+// iteration index is representable. Under the epoch protocol Advance raises
+// the base by 2^32, past every slot recorded since the previous Advance, so
+// iterations recorded between two Advances must be below 2^32.
 //
 // The zero value is not usable; construct with NewIterTable.
 type IterTable struct {
+	base atomic.Int64
 	iter []atomic.Int64
 }
 
-// NewIterTable creates a table of the given length with every entry set to
-// MaxInt ("never written").
+// epochStride is how far Advance raises an IterTable's base: one more than
+// the largest iteration the epoch protocol can record.
+const epochStride = 1 << 32
+
+// NewIterTable creates a table of the given length with every entry never
+// written.
 func NewIterTable(n int) *IterTable {
 	t := &IterTable{iter: make([]atomic.Int64, n)}
-	for i := range t.iter {
-		t.iter[i].Store(MaxInt)
-	}
+	t.base.Store(1)
 	return t
 }
 
@@ -206,20 +237,40 @@ func (t *IterTable) Len() int { return len(t.iter) }
 // Record concurrently from many workers; the paper assumes no output
 // dependencies (each element is written by at most one iteration), so
 // concurrent Records never target the same element.
-func (t *IterTable) Record(e int, i int) { t.iter[e].Store(int64(i)) }
+func (t *IterTable) Record(e int, i int) { t.iter[e].Store(t.base.Load() + int64(i)) }
 
 // Writer returns the iteration that writes element e, or MaxInt if none does.
-func (t *IterTable) Writer(e int) int64 { return t.iter[e].Load() }
+func (t *IterTable) Writer(e int) int64 {
+	v, base := t.iter[e].Load(), t.base.Load()
+	if v < base {
+		return MaxInt
+	}
+	return v - base
+}
 
-// Reset restores element e to MaxInt. Postprocessing calls Reset for every
-// element the loop wrote so the table can be reused.
-func (t *IterTable) Reset(e int) { t.iter[e].Store(MaxInt) }
+// Reset restores element e to never written. The paper's postprocessing
+// calls Reset for every element the loop wrote so the table can be reused.
+func (t *IterTable) Reset(e int) { t.iter[e].Store(0) }
 
-// ResetAll restores every element to MaxInt.
+// ResetAll restores every element to never written.
 func (t *IterTable) ResetAll() {
 	for i := range t.iter {
-		t.iter[i].Store(MaxInt)
+		t.iter[i].Store(0)
 	}
+}
+
+// Advance is the epoch protocol's reset: every entry becomes never written in
+// O(1), without touching the table. When the base would overflow, Advance
+// resets the whole table once and starts the base over. Advance must not run
+// concurrently with the table's other methods; the runtime calls it between
+// loops.
+func (t *IterTable) Advance() {
+	if b := t.base.Load(); b <= MaxInt-2*epochStride {
+		t.base.Store(b + epochStride)
+		return
+	}
+	t.ResetAll()
+	t.base.Store(1)
 }
 
 // Dependence classifies the relation between a read of element e performed by
@@ -258,7 +309,7 @@ func (d Dependence) String() string {
 // dependence class of a read of element e by iteration i, together with the
 // writing iteration (meaningful only for TrueDep and SelfDep).
 func (t *IterTable) Classify(e int, i int) (Dependence, int64) {
-	w := t.iter[e].Load()
+	w := t.Writer(e)
 	switch {
 	case w < int64(i):
 		return TrueDep, w

@@ -1,7 +1,9 @@
 package flags
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -205,11 +207,14 @@ func TestClassifyPropertyMatchesDirectComparison(t *testing.T) {
 	}
 }
 
+// The epoch-protocol tests below run on the same ReadyFlags and IterTable
+// as the paper-protocol tests above: the protocols differ only in how the
+// tables are reset between loops (Advance instead of per-element Clear and
+// Reset).
+
 func TestEpochFlagsBasic(t *testing.T) {
-	e := NewEpochFlags(4)
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", e.Len())
-	}
+	e := NewReadyFlags(4)
+	e.Advance()
 	if e.IsDone(0) {
 		t.Fatal("element done before Set")
 	}
@@ -225,14 +230,14 @@ func TestEpochFlagsBasic(t *testing.T) {
 }
 
 func TestEpochFlagsAdvanceInvalidates(t *testing.T) {
-	e := NewEpochFlags(4)
+	e := NewReadyFlags(4)
 	for i := 0; i < 4; i++ {
 		e.Set(i)
 	}
-	old := e.Epoch()
+	old := e.epoch.Load()
 	e.Advance()
-	if e.Epoch() != old+1 {
-		t.Fatalf("Epoch after Advance = %d, want %d", e.Epoch(), old+1)
+	if e.epoch.Load() != old+1 {
+		t.Fatalf("epoch after Advance = %d, want %d", e.epoch.Load(), old+1)
 	}
 	for i := 0; i < 4; i++ {
 		if e.IsDone(i) {
@@ -243,28 +248,42 @@ func TestEpochFlagsAdvanceInvalidates(t *testing.T) {
 	if !e.IsDone(2) {
 		t.Fatal("Set after Advance not observed")
 	}
+	e.Clear(2)
+	if e.IsDone(2) {
+		t.Fatal("Clear after Advance not observed")
+	}
 }
 
 func TestEpochFlagsWaitBlocks(t *testing.T) {
 	for _, s := range []WaitStrategy{WaitSpin, WaitSpinYield, WaitNotify} {
-		e := NewEpochFlags(2)
+		e := NewReadyFlags(2)
 		if s == WaitNotify {
 			e.EnableNotify()
 		}
+		// Element 1 was done in the previous loop; after Advance the wait
+		// must block until this loop's Set.
+		e.Set(1)
+		e.Advance()
+		var observed atomic.Bool
 		done := make(chan struct{})
 		go func() {
 			e.Wait(1, s)
+			observed.Store(e.IsDone(1))
 			close(done)
 		}()
 		e.Set(1)
 		<-done
+		if !observed.Load() {
+			t.Errorf("strategy %v: waiter returned before the element was set", s)
+		}
 	}
 }
 
 func TestEpochFlagsWaitNotifyWithoutEnable(t *testing.T) {
 	// WaitNotify without EnableNotify must still terminate (falls back to a
 	// yielding spin).
-	e := NewEpochFlags(1)
+	e := NewReadyFlags(1)
+	e.Advance()
 	done := make(chan struct{})
 	go func() {
 		e.Wait(0, WaitNotify)
@@ -275,16 +294,18 @@ func TestEpochFlagsWaitNotifyWithoutEnable(t *testing.T) {
 }
 
 func TestEpochIterTableBasic(t *testing.T) {
-	tab := NewEpochIterTable(8)
-	if tab.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", tab.Len())
-	}
+	tab := NewIterTable(8)
+	tab.Advance()
 	if tab.Writer(3) != MaxInt {
 		t.Fatal("unrecorded element should report MaxInt")
 	}
 	tab.Record(3, 0) // iteration 0 must be representable
 	if w := tab.Writer(3); w != 0 {
 		t.Fatalf("Writer(3) = %d, want 0", w)
+	}
+	tab.Record(4, epochStride-1) // and so must the largest one
+	if w := tab.Writer(4); w != epochStride-1 {
+		t.Fatalf("Writer(4) = %d, want %d", w, int64(epochStride-1))
 	}
 	tab.Record(5, 41)
 	if d, w := tab.Classify(5, 100); d != TrueDep || w != 41 {
@@ -299,42 +320,201 @@ func TestEpochIterTableBasic(t *testing.T) {
 }
 
 func TestEpochIterTableAdvanceInvalidates(t *testing.T) {
-	tab := NewEpochIterTable(4)
+	tab := NewIterTable(4)
 	tab.Record(1, 10)
+	tab.Record(2, epochStride-1)
 	tab.Advance()
-	if tab.Writer(1) != MaxInt {
-		t.Fatal("Advance did not invalidate recorded writer")
+	if tab.Writer(1) != MaxInt || tab.Writer(2) != MaxInt {
+		t.Fatal("Advance did not invalidate recorded writers")
 	}
 	tab.Record(1, 20)
 	if tab.Writer(1) != 20 {
 		t.Fatal("Record after Advance not observed")
 	}
+	tab.Reset(1)
+	if tab.Writer(1) != MaxInt {
+		t.Fatal("Reset after Advance not observed")
+	}
+}
+
+// TestPaperProtocolHasNoIterationLimit pins that the epoch protocol's limit
+// does not reach the paper's: a table that is only ever reset per element
+// records iterations far beyond 2^32.
+func TestPaperProtocolHasNoIterationLimit(t *testing.T) {
+	tab := NewIterTable(2)
+	for _, i := range []int{epochStride, 1 << 40, math.MaxInt64 - 2} {
+		tab.Record(0, i)
+		if w := tab.Writer(0); w != int64(i) {
+			t.Fatalf("Writer after Record(0, %d) = %d", i, w)
+		}
+		tab.Reset(0)
+		if w := tab.Writer(0); w != MaxInt {
+			t.Fatalf("Writer after Reset = %d, want MaxInt", w)
+		}
+	}
+}
+
+// TestEpochWrap pins the edge of the epoch representation: the ready
+// array's 32-bit epoch wraps after 2^32-1 Advances and the iter table's base
+// overflows after about 2^31, and in both cases every entry written before
+// the wrap must read as never written and not done afterwards, however old.
+func TestEpochWrap(t *testing.T) {
+	r := NewReadyFlags(3)
+	r.Set(0) // epoch 1: would read as done again once the epoch is back at 1
+	r.epoch.Store(math.MaxUint32)
+	r.Set(1)
+	r.Advance()
+	if got := r.epoch.Load(); got != 1 {
+		t.Fatalf("epoch after the wrap = %d, want 1", got)
+	}
+	for e := 0; e < 3; e++ {
+		if r.IsDone(e) {
+			t.Errorf("ready element %d done after the wrap", e)
+		}
+	}
+	r.Set(2)
+	if !r.IsDone(2) {
+		t.Error("Set after the wrap not observed")
+	}
+
+	tab := NewIterTable(3)
+	tab.Record(0, 5) // base 1
+	tab.base.Store(MaxInt - 2*epochStride + 1)
+	tab.Record(1, epochStride-1)
+	tab.Advance()
+	if got := tab.base.Load(); got != 1 {
+		t.Fatalf("base after the wrap = %d, want 1", got)
+	}
+	for e := 0; e < 3; e++ {
+		if w := tab.Writer(e); w != MaxInt {
+			t.Errorf("iter element %d has writer %d after the wrap", e, w)
+		}
+	}
+	// The last Advance before the wrap still fits the epoch's largest
+	// iteration without overflow.
+	tab.base.Store(MaxInt - 2*epochStride)
+	tab.Advance()
+	tab.Record(2, epochStride-1)
+	if w := tab.Writer(2); w != epochStride-1 {
+		t.Errorf("Writer at the last base = %d, want %d", w, int64(epochStride-1))
+	}
 }
 
 func TestEpochAndPlainIterTablesAgree(t *testing.T) {
-	// Property: on the same sequence of records, both table variants classify
-	// reads identically.
-	f := func(writers []uint8, reader uint8) bool {
-		n := 16
+	// Property: over a sequence of loops, a table reset per element (the
+	// paper's protocol) and a table advanced between loops (the epoch
+	// protocol) classify every read identically.
+	f := func(loops [][]uint8, reader uint8) bool {
+		const n = 16
 		plain := NewIterTable(n)
-		epoch := NewEpochIterTable(n)
-		for e, w := range writers {
-			if e >= n {
-				break
+		epoch := NewIterTable(n)
+		for _, writers := range loops {
+			for e, w := range writers {
+				if e >= n {
+					break
+				}
+				plain.Record(e, int(w))
+				epoch.Record(e, int(w))
 			}
-			plain.Record(e, int(w))
-			epoch.Record(e, int(w))
-		}
-		for e := 0; e < n; e++ {
-			d1, _ := plain.Classify(e, int(reader))
-			d2, _ := epoch.Classify(e, int(reader))
-			if d1 != d2 {
-				return false
+			for e := 0; e < n; e++ {
+				d1, w1 := plain.Classify(e, int(reader))
+				d2, w2 := epoch.Classify(e, int(reader))
+				if d1 != d2 || w1 != w2 {
+					return false
+				}
 			}
+			for e := range writers {
+				if e < n {
+					plain.Reset(e)
+				}
+			}
+			epoch.Advance()
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzResetProtocols checks IterTable.Writer and Classify and
+// ReadyFlags.IsDone against a naive map model over decoded operation
+// sequences. The sequences mix the paper's per-element resets (Reset, Clear)
+// with the epoch protocol's Advance, and a jump of both epochs to just before
+// their wrap, so either protocol, and any mix of the two, must read exactly
+// what was recorded and set since each entry was last reset.
+func FuzzResetProtocols(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 0, 0, 6, 1, 9, 2, 1, 6, 1, 0})
+	f.Add([]byte{0, 3, 7, 0, 0, 0, 2, 3, 4, 5, 6, 3, 8, 1, 3, 6, 3, 8})
+	f.Add([]byte{7, 0, 0, 2, 255, 255, 255, 255, 2, 2, 5, 4, 6, 2, 1, 7, 4, 6, 2, 1})
+	f.Add([]byte{0, 5, 1, 0, 0, 0, 1, 5, 3, 5, 6, 5, 2, 7, 4, 5, 6, 5, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const n = 8
+		tab, ready := NewIterTable(n), NewReadyFlags(n)
+		writer, done := map[int]int64{}, map[int]bool{}
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		for len(ops) > 0 {
+			op, e := next()%8, next()%n
+			switch op {
+			case 0: // Record: a 32-bit iteration, the epoch protocol's range
+				i := int64(next())<<24 | int64(next())<<16 | int64(next())<<8 | int64(next())
+				tab.Record(e, int(i))
+				writer[e] = i
+			case 1:
+				tab.Reset(e)
+				delete(writer, e)
+			case 2:
+				ready.Set(e)
+				done[e] = true
+			case 3:
+				ready.Clear(e)
+				delete(done, e)
+			case 4:
+				tab.Advance()
+				clear(writer)
+			case 5:
+				ready.Advance()
+				clear(done)
+			case 6: // lookup by reading iteration i
+				i := next()
+				want, ok := writer[e]
+				if !ok {
+					want = MaxInt
+				}
+				if got := tab.Writer(e); got != want {
+					t.Fatalf("Writer(%d) = %d, model %d", e, got, want)
+				}
+				wantDep := AntiOrNone
+				if want < int64(i) {
+					wantDep = TrueDep
+				} else if want == int64(i) {
+					wantDep = SelfDep
+				}
+				if d, w := tab.Classify(e, i); d != wantDep || w != want {
+					t.Fatalf("Classify(%d, %d) = %v,%d, model %v,%d", e, i, d, w, wantDep, want)
+				}
+				if got := ready.IsDone(e); got != done[e] {
+					t.Fatalf("IsDone(%d) = %v, model %v", e, got, done[e])
+				}
+			case 7: // jump both epochs to just before their wrap
+				if ready.epoch.Load() < math.MaxUint32-2 {
+					ready.epoch.Store(math.MaxUint32 - uint32(e%3))
+					clear(done)
+				}
+				// Only an unjumped base (far below the new one) may jump, so
+				// the base still rises past every recorded slot.
+				if tab.base.Load() < 1<<62 {
+					tab.base.Store(MaxInt - 2*epochStride - int64(e%3)*epochStride)
+					clear(writer)
+				}
+			}
+		}
+	})
 }
