@@ -377,14 +377,7 @@ func run(args []string, stdout io.Writer) (violations int, err error) {
 			return "", nil, err
 		}
 		benchRecords = append(benchRecords, experiments.TuningBenchRecords(rows)...)
-		// The near-tie run -check bounds: a fixed workload, worker count and
-		// run budget, whatever the flags say.
-		settle, err := experiments.RunTuningSettle()
-		if err != nil {
-			return "", nil, err
-		}
-		return experiments.FormatTuning(rows) + settle.String(),
-			append(experiments.CheckTuning(rows), experiments.CheckTuningSettle(settle)...), nil
+		return experiments.FormatTuning(rows), experiments.CheckTuning(rows), nil
 	})
 
 	if err != nil {

@@ -269,11 +269,11 @@ func WithExecutor(k ExecutorKind) Option {
 // of the per-runtime self-calibration probe: BarrierNs is the cost of one
 // level-barrier rendezvous at the runtime's worker count, FlagCheckNs the
 // cost of one flag-table operation, ClaimNs the cost of one dynamic chunk
-// claim (zero excludes the dynamic executor from the comparison), and IterNs
-// an optional estimate of one iteration's useful work (zero compares pure
-// synchronization overheads). Only the ratios matter. All four must be
-// finite, BarrierNs and FlagCheckNs positive, ClaimNs and IterNs
-// non-negative; New rejects anything else. Supplying the coefficients makes
+// claim, and IterNs an optional estimate of one iteration's useful work
+// (zero compares pure synchronization overheads). Only the ratios matter.
+// All four must be finite, BarrierNs, FlagCheckNs and ClaimNs positive and
+// IterNs non-negative; New rejects anything else, so every configured
+// selection prices all three executors. Supplying the coefficients makes
 // WithExecutor(Auto) deterministic across hosts — tests and
 // simulator-calibrated deployments want that; leave it unset to let the
 // runtime measure its own barrier, flag-check and claim costs once on its
@@ -281,7 +281,7 @@ func WithExecutor(k ExecutorKind) Option {
 func WithAutoCosts(c AutoCosts) Option {
 	return func(cf *config) {
 		if !c.Valid() {
-			cf.fail(fmt.Errorf("doacross: WithAutoCosts requires finite coefficients, positive BarrierNs and FlagCheckNs and non-negative ClaimNs and IterNs, got %+v", c))
+			cf.fail(fmt.Errorf("doacross: WithAutoCosts requires finite coefficients, positive BarrierNs, FlagCheckNs and ClaimNs and a non-negative IterNs, got %+v", c))
 			return
 		}
 		cf.opts.AutoCosts = c
@@ -317,7 +317,7 @@ func WithOnlineTuning(o TuningOptions) Option {
 			return
 		}
 		if ic := o.InitialCosts; ic != (AutoCosts{}) && !ic.Valid() {
-			c.fail(fmt.Errorf("doacross: WithOnlineTuning InitialCosts require finite coefficients, positive BarrierNs and FlagCheckNs and non-negative ClaimNs and IterNs, got %+v", ic))
+			c.fail(fmt.Errorf("doacross: WithOnlineTuning InitialCosts require finite coefficients, positive BarrierNs, FlagCheckNs and ClaimNs and a non-negative IterNs, got %+v", ic))
 			return
 		}
 		c.opts.Tuning = &o

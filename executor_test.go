@@ -97,8 +97,10 @@ func TestScheduleCacheAcrossSolves(t *testing.T) {
 }
 
 // TestAutoExecutorThroughFacade checks WithExecutor(Auto) end to end: with
-// cost coefficients where barriers are cheap relative to the flag protocol,
-// the cost model pre-schedules the five-point factor (its natural order is
+// cost coefficients where barriers are cheap relative to the flag protocol
+// (and chunk claims priced out of the comparison, isolating the
+// doacross/wavefront pick), the cost model pre-schedules the five-point
+// factor (its natural order is
 // riddled with distance-1 stalls), the report names the picked strategy and
 // the prediction behind it, and the result matches the sequential solve.
 func TestAutoExecutorThroughFacade(t *testing.T) {
@@ -111,7 +113,7 @@ func TestAutoExecutorThroughFacade(t *testing.T) {
 	got, rep, err := doacross.SolveTriangular(doacross.SolverDoacross, l, rhs,
 		doacross.WithWorkers(4),
 		doacross.WithExecutor(doacross.Auto),
-		doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 100, FlagCheckNs: 10}),
+		doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 100, FlagCheckNs: 10, ClaimNs: 1e6}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +177,8 @@ func TestAutoSelfCalibrates(t *testing.T) {
 // fixed loop shape, sweeping the calibrated barrier/flag-check cost ratio
 // across the model's break-even point flips the Auto selection from
 // wavefront (cheap barriers) to doacross (expensive barriers), with the
-// flip exactly where Predict says the two estimates cross.
+// flip exactly where Predict says the two estimates cross. Chunk claims are
+// priced out of the comparison (claimNs), isolating the two-way flip.
 func TestAutoFlipsAtBreakEven(t *testing.T) {
 	l, _, err := stencil.LowerFactor(stencil.FivePoint, 1)
 	if err != nil {
@@ -183,7 +186,7 @@ func TestAutoFlipsAtBreakEven(t *testing.T) {
 	}
 	rhs := stencil.RHS(l.N, 7)
 	const workers = 4
-	const flagNs = 10.0
+	const flagNs, claimNs = 10.0, 1e6
 
 	// Locate the break-even ratio from the model itself, using the stats the
 	// runtime's own inspection reports.
@@ -207,7 +210,7 @@ func TestAutoFlipsAtBreakEven(t *testing.T) {
 	lo, hi := 1e-3, 1e6
 	for range 200 {
 		mid := (lo + hi) / 2
-		tda, twf, _ := doacross.AutoCosts{BarrierNs: mid * flagNs, FlagCheckNs: flagNs}.Predict(st, workers)
+		tda, twf, _ := doacross.AutoCosts{BarrierNs: mid * flagNs, FlagCheckNs: flagNs, ClaimNs: claimNs}.Predict(st, workers)
 		if twf < tda {
 			lo = mid
 		} else {
@@ -224,7 +227,7 @@ func TestAutoFlipsAtBreakEven(t *testing.T) {
 		_, rep, err := doacross.SolveTriangular(doacross.SolverDoacross, l, rhs,
 			doacross.WithWorkers(workers),
 			doacross.WithExecutor(doacross.Auto),
-			doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: ratio * flagNs, FlagCheckNs: flagNs}),
+			doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: ratio * flagNs, FlagCheckNs: flagNs, ClaimNs: claimNs}),
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -422,10 +422,11 @@ func TestOptionValidation(t *testing.T) {
 		{"bad policy", []doacross.Option{doacross.WithPolicy(doacross.Policy(99))}},
 		{"bad wait strategy", []doacross.Option{doacross.WithWaitStrategy(doacross.WaitStrategy(99))}},
 		{"non-permutation order", []doacross.Option{doacross.WithOrder([]int{0, 0, 1})}},
-		{"NaN barrier cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: math.NaN(), FlagCheckNs: 5})}},
-		{"infinite flag-check cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: math.Inf(1)})}},
+		{"NaN barrier cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: math.NaN(), FlagCheckNs: 5, ClaimNs: 25})}},
+		{"infinite flag-check cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: math.Inf(1), ClaimNs: 25})}},
 		{"NaN claim cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: 5, ClaimNs: math.NaN()})}},
-		{"infinite iteration cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: 5, IterNs: math.Inf(1)})}},
+		{"zero claim cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: 5, IterNs: 80})}},
+		{"infinite iteration cost", []doacross.Option{doacross.WithAutoCosts(doacross.AutoCosts{BarrierNs: 1000, FlagCheckNs: 5, ClaimNs: 25, IterNs: math.Inf(1)})}},
 	}
 	for _, tc := range cases {
 		if _, err := doacross.New(8, tc.opts...); err == nil {

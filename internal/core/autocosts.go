@@ -12,10 +12,10 @@ import (
 // AutoCosts are the coefficients of the Auto executor's calibrated cost
 // model. The type, its prediction (PredictN) and its selection rule (Choose)
 // are defined in package tune, the one home of the host cost model; see
-// tune.Coeffs. Zero-valued BarrierNs/FlagCheckNs mean "calibrate on first
-// use": the runtime micro-times one level-barrier rendezvous, one
-// iter-table/ready-flag operation and one dynamic chunk claim on its live
-// pool, once per Runtime.
+// tune.Coeffs. Coefficients that are not Valid (the zero value in
+// particular) mean "calibrate on first use": the runtime micro-times one
+// level-barrier rendezvous, one iter-table/ready-flag operation and one
+// dynamic chunk claim on its live pool, once per Runtime.
 type AutoCosts = tune.Coeffs
 
 // kindOfTuneExec maps a tune arm index to the runtime's ExecutorKind.

@@ -341,33 +341,12 @@ func (rt *Runtime) buildPlan(l *Loop) (*wavefrontPlan, error) {
 	}
 	ls := g.LevelsInto(&rt.levelScratch)
 
-	levels := ls.Count()
-	maxWidth := ls.MaxWidth()
-	p := rt.opts.Workers
-	if p > maxWidth {
-		// Workers beyond the widest level would only spin at the barriers.
-		p = maxWidth
-	}
-	if p < 1 {
-		p = 1
-	}
-	chunk := rt.chunk()
 	stats := InspectStats{
-		Iterations:      l.N,
-		Edges:           g.Edges,
-		Levels:          levels,
-		MaxLevelWidth:   maxWidth,
-		CriticalPathLen: levels,
+		Iterations:  l.N,
+		Edges:       g.Edges,
+		StallWeight: g.StallWeight(rt.opts.Workers),
 	}
-	if levels > 0 {
-		stats.MeanLevelWidth = float64(l.N) / float64(levels)
-	}
-	for lvl := 0; lvl < levels; lvl++ {
-		w := int(ls.Off[lvl+1] - ls.Off[lvl])
-		stats.ScheduleRounds += (w + p - 1) / p
-		stats.DynamicClaims += sched.DynamicClaims(w, chunk, p)
-	}
-	stats.StallWeight = g.StallWeight(rt.opts.Workers)
+	p := rt.levelStats(&stats, ls)
 	imb := levelImbalances(g, ls, rt.opts.Policy, p)
 	for _, v := range imb {
 		stats.ReadImbalance += v

@@ -132,7 +132,7 @@ func TestConcurrentAutoRunsShareScheduleCache(t *testing.T) {
 		Executor:     ExecAuto,
 		// Fixed coefficients keep the Auto decision deterministic and skip
 		// the probe so the stress loop spends its time in Run.
-		AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10},
+		AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10, ClaimNs: 25},
 	})
 	defer rt.Close()
 

@@ -525,7 +525,9 @@ func TestAutoFlipsWithBlockWidth(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	costs := AutoCosts{BarrierNs: 5, FlagCheckNs: 1, IterNs: 2}
+	// Claims priced out of the comparison isolate the doacross/wavefront
+	// flip.
+	costs := AutoCosts{BarrierNs: 5, FlagCheckNs: 1, ClaimNs: 1e6, IterNs: 2}
 	rt := NewRuntime(l.N, Options{Workers: workers, Executor: ExecAuto, AutoCosts: costs})
 	defer rt.Close()
 

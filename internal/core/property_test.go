@@ -936,9 +936,7 @@ func TestPropertyOfflinePickIsLivePick(t *testing.T) {
 		costs := AutoCosts{
 			BarrierNs:   1 + 2000*rng.Float64(),
 			FlagCheckNs: 0.5 + 50*rng.Float64(),
-		}
-		if rng.Intn(3) > 0 {
-			costs.ClaimNs = 0.5 + 100*rng.Float64()
+			ClaimNs:     0.5 + 100*rng.Float64(),
 		}
 		if rng.Intn(2) == 0 {
 			costs.IterNs = 200 * rng.Float64()

@@ -173,7 +173,7 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 			}
 			preds = append(preds, j)
 		}
-		stallDelta -= stallContribution(i, g.Preds[i], workers)
+		stallDelta -= g.StallShare(i, workers)
 		gedits[k] = depgraph.Edit{Iter: i, Preds: preds}
 	}
 	if err := g.ApplyEdits(gedits); err != nil {
@@ -182,7 +182,7 @@ func (rt *Runtime) RepairPlans(l *Loop, edits EditSet) (RepairReport, error) {
 		return RepairReport{RepairTime: time.Since(start)}, err
 	}
 	for _, i := range dirty {
-		stallDelta += stallContribution(i, g.Preds[i], workers)
+		stallDelta += g.StallShare(i, workers)
 	}
 
 	budget := tune.BreakEvenCone(plan.n, g.Edges)
@@ -236,31 +236,8 @@ func (rt *Runtime) patchPlanStats(plan *wavefrontPlan, res depgraph.RepairResult
 	st := &plan.stats
 	st.Edges = g.Edges
 	st.StallWeight += stallDelta
-	levels := ls.Count()
-	st.Levels = levels
-	st.CriticalPathLen = levels
-	if levels > 0 {
-		st.MeanLevelWidth = float64(plan.n) / float64(levels)
-	} else {
-		st.MeanLevelWidth = 0
-	}
-	maxWidth := ls.MaxWidth()
-	st.MaxLevelWidth = maxWidth
-
-	p := rt.opts.Workers
-	if p > maxWidth {
-		p = maxWidth
-	}
-	if p < 1 {
-		p = 1
-	}
-	chunk := rt.chunk()
-	st.ScheduleRounds, st.DynamicClaims = 0, 0
-	for lvl := 0; lvl < levels; lvl++ {
-		w := int(ls.Off[lvl+1] - ls.Off[lvl])
-		st.ScheduleRounds += (w + p - 1) / p
-		st.DynamicClaims += sched.DynamicClaims(w, chunk, p)
-	}
+	p := rt.levelStats(st, ls)
+	levels := st.Levels
 
 	if p != plan.workers {
 		// The widest level crossed the worker count, changing the schedule's
@@ -301,19 +278,28 @@ func (rt *Runtime) patchPlanStats(plan *wavefrontPlan, res depgraph.RepairResult
 	}
 }
 
-// stallContribution is iteration i's share of InspectStats.StallWeight: the
-// stall estimate of its incoming edges, Σ over preds of max(0, (P - d)/P)
-// with d the dependence distance (see Graph.StallWeight). Repair subtracts
-// the pre-edit share and adds the post-edit one.
-func stallContribution(i int, preds []int32, workers int) float64 {
-	if workers <= 1 {
-		return 0
+// levelStats fills the inspection statistics that follow from the level
+// decomposition alone — Levels, CriticalPathLen, MaxLevelWidth,
+// MeanLevelWidth (over st.Iterations), ScheduleRounds and DynamicClaims —
+// and returns the static schedule's worker clamp: the configured workers,
+// at most the widest level (workers beyond it would only spin at the
+// barriers) and at least one. The cold inspection and every incremental
+// repair derive them here; it allocates nothing.
+func (rt *Runtime) levelStats(st *InspectStats, ls *depgraph.LevelSet) (p int) {
+	levels := ls.Count()
+	st.Levels, st.CriticalPathLen = levels, levels
+	st.MaxLevelWidth = ls.MaxWidth()
+	st.MeanLevelWidth = 0
+	if levels > 0 {
+		st.MeanLevelWidth = float64(st.Iterations) / float64(levels)
 	}
-	w := 0.0
-	for _, p := range preds {
-		if d := i - int(p); d < workers {
-			w += float64(workers-d) / float64(workers)
-		}
+	p = max(min(rt.opts.Workers, st.MaxLevelWidth), 1)
+	chunk := rt.chunk()
+	st.ScheduleRounds, st.DynamicClaims = 0, 0
+	for lvl := 0; lvl < levels; lvl++ {
+		w := int(ls.Off[lvl+1] - ls.Off[lvl])
+		st.ScheduleRounds += (w + p - 1) / p
+		st.DynamicClaims += sched.DynamicClaims(w, chunk, p)
 	}
-	return w
+	return p
 }

@@ -159,7 +159,7 @@ func TestRepairPlansPropertyAllExecutors(t *testing.T) {
 					Executor: ex.kind,
 					// Fixed coefficients keep ExecAuto deterministic and the
 					// repair budget free of a calibration probe.
-					AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10},
+					AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10, ClaimNs: 25},
 				}
 				rt := NewRuntime(2*n, opts)
 				runGather(t, "cold run", rt, l, n, idx)
@@ -252,7 +252,7 @@ func TestRepairPlansConeBudgetFallsBack(t *testing.T) {
 		}
 	}
 	l := gatherLoop(n, idx)
-	rt := NewRuntime(2*n, Options{Workers: 2, Executor: ExecWavefront, AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10}})
+	rt := NewRuntime(2*n, Options{Workers: 2, Executor: ExecWavefront, AutoCosts: AutoCosts{BarrierNs: 100, FlagCheckNs: 10, ClaimNs: 25}})
 	defer rt.Close()
 	runGather(t, "cold run", rt, l, n, idx)
 

@@ -122,9 +122,7 @@ type Report struct {
 	// PredictedDoacrossNs, PredictedWavefrontNs and PredictedDynamicNs are
 	// the cost model's executor-phase estimates behind an ExecAuto decision,
 	// in the coefficients' time unit; zero when no cost-model decision was
-	// made. PredictedDynamicNs is also zero when the coefficients carry no
-	// claim cost (AutoCosts.ClaimNs), in which case the dynamic executor was
-	// not considered.
+	// made.
 	PredictedDoacrossNs  float64
 	PredictedWavefrontNs float64
 	PredictedDynamicNs   float64

@@ -246,15 +246,25 @@ func (g *Graph) LevelsInto(ls *LevelSet) *LevelSet {
 // pipelining. It is the statistic the Auto executor selection prices and
 // the quantity the doconsider reordering exists to shrink.
 func (g *Graph) StallWeight(workers int) float64 {
+	w := 0.0
+	for i := 0; i < g.N; i++ {
+		w += g.StallShare(i, workers)
+	}
+	return w
+}
+
+// StallShare is iteration i's share of StallWeight: the stall estimate of
+// its incoming edges, Σ over its predecessors of max(0, (P - d)/P). An
+// incremental repair subtracts an edited iteration's share before the edit
+// and adds it back after.
+func (g *Graph) StallShare(i, workers int) float64 {
 	if workers <= 1 {
 		return 0
 	}
 	w := 0.0
-	for i := 0; i < g.N; i++ {
-		for _, p := range g.Preds[i] {
-			if d := i - int(p); d < workers {
-				w += float64(workers-d) / float64(workers)
-			}
+	for _, p := range g.Preds[i] {
+		if d := i - int(p); d < workers {
+			w += float64(workers-d) / float64(workers)
 		}
 	}
 	return w

@@ -70,7 +70,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 
 		barrierNs   = fs.Float64("barrier-ns", DefaultBarrierNs, "cost model: pool barrier cost in ns")
 		flagCheckNs = fs.Float64("flagcheck-ns", DefaultFlagCheckNs, "cost model: per-read flag check cost in ns")
-		claimNs     = fs.Float64("claim-ns", DefaultClaimNs, "cost model: dynamic chunk claim cost in ns (0 excludes the dynamic executor)")
+		claimNs     = fs.Float64("claim-ns", DefaultClaimNs, "cost model: dynamic chunk claim cost in ns")
 		iterNs      = fs.Float64("iter-ns", DefaultIterNs, "cost model: per-iteration body cost in ns")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -92,7 +92,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	}
 	costs := tune.Coeffs{BarrierNs: *barrierNs, FlagCheckNs: *flagCheckNs, ClaimNs: *claimNs, IterNs: *iterNs}
 	if !costs.Valid() {
-		fmt.Fprintf(stderr, "cost flags must be finite, with -barrier-ns and -flagcheck-ns positive and -claim-ns and -iter-ns non-negative, got %+v\n", costs)
+		fmt.Fprintf(stderr, "cost flags must be finite, with -barrier-ns, -flagcheck-ns and -claim-ns positive and -iter-ns non-negative, got %+v\n", costs)
 		return 1
 	}
 
@@ -281,11 +281,7 @@ func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs t
 		workers, nrhs, costs.BarrierNs, costs.FlagCheckNs, costs.ClaimNs, costs.IterNs)
 	fmt.Fprintf(w, "  doacross          %12.0f ns\n", tda)
 	fmt.Fprintf(w, "  wavefront         %12.0f ns\n", twf)
-	if tdyn > 0 {
-		fmt.Fprintf(w, "  wavefront-dynamic %12.0f ns\n", tdyn)
-	} else {
-		fmt.Fprintln(w, "  wavefront-dynamic not considered (no claim cost)")
-	}
+	fmt.Fprintf(w, "  wavefront-dynamic %12.0f ns\n", tdyn)
 	fmt.Fprintf(w, "  auto picks        %s\n", tune.ExecutorName(pick))
 
 	// The tuning forecast replays the runtime's online self-tuning state
@@ -297,7 +293,7 @@ func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs t
 	// toward the wrong executor. The section shows how many measured runs the
 	// feedback needs to settle on the truly fastest executor and how far the
 	// calibrated coefficients travel.
-	truth := machine.TuningTruth{DoacrossNs: tda, WavefrontNs: twf, DynamicNs: tdyn}
+	truth := machine.TuningTruth{tda, twf, tdyn}
 	start := tune.Coeffs{
 		BarrierNs:   costs.BarrierNs / 10,
 		FlagCheckNs: 10 * costs.FlagCheckNs,
@@ -310,7 +306,7 @@ func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs t
 		fmt.Fprintf(w, "  settles on        never (within %d runs)\n", tuningRuns)
 	} else {
 		fmt.Fprintf(w, "  settles on        %s at run %d\n",
-			tune.ExecutorName(truth.BestArm()), traj.ConvergedAt)
+			tune.ExecutorName(tune.Best(truth)), traj.ConvergedAt)
 	}
 	fmt.Fprintf(w, "  explorations      %d of %d runs\n", traj.Final.Explorations, tuningRuns)
 	fc := traj.Final.Coeffs

@@ -125,6 +125,7 @@ func TestBadFlags(t *testing.T) {
 		{[]string{"-flagcheck-ns", "0"}, 1},
 		{[]string{"-barrier-ns", "NaN"}, 1},
 		{[]string{"-claim-ns", "-3"}, 1},
+		{[]string{"-claim-ns", "0"}, 1},
 		{[]string{"-iter-ns", "Inf"}, 1},
 	} {
 		var stdout, stderr bytes.Buffer

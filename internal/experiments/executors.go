@@ -8,6 +8,7 @@ import (
 	"doacross"
 	"doacross/internal/stencil"
 	"doacross/internal/trace"
+	"doacross/internal/tune"
 )
 
 // ExecutorSweepNames lists the executors the live sweep can measure, in
@@ -281,13 +282,8 @@ func CheckExecutorSweep(rows []ExecutorSweepRow) []string {
 			// is held to prediction consistency only when the solve is known
 			// to be multi-level; any other pick can only have come from the
 			// cost model and is always checked.
-			predicted, best := "doacross", r.PredictedDoacrossNs
-			if r.PredictedWavefrontNs < best {
-				predicted, best = "wavefront", r.PredictedWavefrontNs
-			}
-			if r.PredictedDynamicNs > 0 && r.PredictedDynamicNs < best {
-				predicted = "wavefront-dynamic"
-			}
+			predicted := tune.ExecutorName(tune.Best([tune.NumExecutors]float64{
+				r.PredictedDoacrossNs, r.PredictedWavefrontNs, r.PredictedDynamicNs}))
 			if r.AutoPicked != predicted {
 				problems = append(problems, fmt.Sprintf("%s P=%d: auto picked %s but its own predictions favor %s", r.Problem, r.Workers, r.AutoPicked, predicted))
 			}

@@ -278,18 +278,17 @@ func (r Table1Result) CheckShape() []string {
 			problems = append(problems, fmt.Sprintf("%v: dynamic wavefront efficiency %.2f shows no real speedup", row.Problem, row.DynamicEff))
 		}
 		if row.WavefrontMs > 0 && row.DoacrossMs > 0 && row.DynamicMs > 0 {
-			simWinner, best, second := machine.ModelDoacross.String(), row.DoacrossMs, row.WavefrontMs
-			if second < best {
-				simWinner, best, second = machine.ModelWavefront.String(), second, best
+			ms := [tune.NumExecutors]float64{row.DoacrossMs, row.WavefrontMs, row.DynamicMs}
+			win := tune.Best(ms)
+			second := ms[(win+1)%tune.NumExecutors]
+			for e, t := range ms {
+				if e != win && t < second {
+					second = t
+				}
 			}
-			if row.DynamicMs < best {
-				simWinner, best, second = machine.ModelWavefrontDynamic.String(), row.DynamicMs, best
-			} else if row.DynamicMs < second {
-				second = row.DynamicMs
-			}
-			if second >= 2*best && row.AutoPick != simWinner {
+			if second >= 2*ms[win] && row.AutoPick != tune.ExecutorName(win) {
 				problems = append(problems, fmt.Sprintf("%v: auto picked %s but the simulation clearly favors %s (%.0f/%.0f/%.0f ms)",
-					row.Problem, row.AutoPick, simWinner, row.DoacrossMs, row.WavefrontMs, row.DynamicMs))
+					row.Problem, row.AutoPick, tune.ExecutorName(win), row.DoacrossMs, row.WavefrontMs, row.DynamicMs))
 			}
 		}
 		gapSum += row.ReorderedEff - row.DoacrossEff

@@ -3,15 +3,26 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"doacross"
+	"doacross/internal/machine"
+	"doacross/internal/tune"
 )
 
-// TestCheckTuningClaims pins the claim logic on synthetic rows: a decisive
-// row is held to convergence, final-pick, recovery, measured-average and
-// simulator-replay claims, a thin-margin row only to the 1.5x near-tie bound,
-// and a row whose run-0 pick ignored the mis-seeding fails outright.
+// tuningArms returns tuner state with five observations of each given
+// moving average, indexed by tune arm.
+func tuningArms(emaNs ...float64) (a [tune.NumExecutors]doacross.TuningArm) {
+	for e, ns := range emaNs {
+		a[e] = doacross.TuningArm{Observations: 5, EMANs: ns}
+	}
+	return a
+}
+
+// TestCheckTuningClaims pins the three-arm claim logic on synthetic decisive
+// rows: each is held to convergence within 1.5x of the fastest truth by half
+// the budget, to its misled executor's moving average staying above the
+// settled one's, and to the simulator replay of its truth converging by the
+// same rule; a row whose run-0 pick ignored the mis-seeding fails outright.
 func TestCheckTuningClaims(t *testing.T) {
 	rt, err := doacross.New(512, doacross.WithWorkers(4))
 	if err != nil {
@@ -23,28 +34,31 @@ func TestCheckTuningClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	decisive := TuningRow{
-		Name: "chain n=512", Workers: 4, Runs: 30, TruthReps: 3,
-		TDoacross: 80 * time.Millisecond, TWavefront: 40 * time.Microsecond,
-		BestExecutor: "wavefront", WorstExecutor: "doacross", Margin: 2000,
-		MisSeededPick: "doacross", ConvergedAt: 4, Explorations: 3,
-		FinalPick: "wavefront", TunedEMANs: 45_000, BestEMANs: 45_000,
-		WorstEMANs: 80_000_000, RecoverySpeedup: 1777, Stats: chainStats,
+		Name: "chain n=512", Workers: 4, Runs: 30, TruthReps: 3, Seed: tuningSeed,
+		Truth:  machine.TuningTruth{80e6, 40e3, 52e3},
+		Misled: tune.Doacross, Margin: 2000,
+		MisSeededPick: tune.Doacross, ConvergedAt: 4, Explorations: 3, FinalPick: tune.Wavefront,
+		Arms: tuningArms(80e6, 45e3, 55e3), Stats: chainStats,
 	}
 	if problems := CheckTuning([]TuningRow{decisive}); len(problems) != 0 {
 		t.Fatalf("decisive recovery flagged: %v", problems)
 	}
+	// Settling on the dynamic wavefront, a near second to the static one, is
+	// a converged decisive row too, live and in the replay.
+	dynamic := decisive
+	dynamic.Truth = machine.TuningTruth{80e6, 40e3, 44e3}
+	dynamic.FinalPick, dynamic.Arms = tune.WavefrontDynamic, tuningArms(80e6, 47e3, 45e3)
+	if problems := CheckTuning([]TuningRow{dynamic}); len(problems) != 0 {
+		t.Fatalf("decisive settle on the near-tied dynamic arm flagged: %v", problems)
+	}
 
 	never := decisive
-	never.ConvergedAt, never.FinalPick = -1, "doacross"
+	never.ConvergedAt, never.FinalPick = -1, tune.Doacross
 	late := decisive
 	late.ConvergedAt = 20
-	wrongArm := decisive
-	wrongArm.FinalPick = "doacross"
-	thinRecovery := decisive
-	thinRecovery.RecoverySpeedup = 1.2
-	// The best executor's measured average is not below the worst one's.
+	// The misled executor's measured average is not above the settled one's.
 	contradicted := decisive
-	contradicted.WorstEMANs = contradicted.BestEMANs
+	contradicted.Arms = tuningArms(45e3, 45e3, 55e3)
 	// A budget that ends before seed 5's first exploration (run 3): the
 	// replayed trajectory never leaves the misled arm, although the live
 	// fields claim an early convergence.
@@ -52,7 +66,6 @@ func TestCheckTuningClaims(t *testing.T) {
 	shortBudget.Runs, shortBudget.ConvergedAt = 3, 1
 	for name, row := range map[string]TuningRow{
 		"never converged": never, "late convergence": late,
-		"wrong final pick": wrongArm, "thin recovery": thinRecovery,
 		"averages contradict the truth": contradicted,
 		"simulator does not converge":   shortBudget,
 	} {
@@ -61,26 +74,52 @@ func TestCheckTuningClaims(t *testing.T) {
 		}
 	}
 
+	unmisled := decisive
+	unmisled.MisSeededPick = tune.Wavefront
+	if problems := CheckTuning([]TuningRow{unmisled}); len(problems) == 0 {
+		t.Errorf("ignored mis-seeding not flagged: %+v", unmisled)
+	}
+}
+
+// TestCheckTuningSettleClaims pins the near-tie bound on synthetic thin rows
+// (misled margin below 3x): a settled executor whose moving average is
+// within 1.5x of the lowest observed average passes, one beyond it fails, and
+// a row with no settled executor fails. Only the moving averages decide,
+// not the truth.
+func TestCheckTuningSettleClaims(t *testing.T) {
 	nearTie := TuningRow{
-		Name: "trisolve SPE2", Workers: 2, Runs: 30,
-		TDoacross: 160 * time.Microsecond, TWavefront: 180 * time.Microsecond,
-		BestExecutor: "doacross", WorstExecutor: "wavefront", Margin: 1.1,
-		MisSeededPick: "wavefront", ConvergedAt: -1,
-		FinalPick: "wavefront", TunedEMANs: 181_000, BestEMANs: 158_000,
+		Name: "trisolve SPE2", Workers: 2, Runs: 30, Seed: tuningSeed,
+		Truth:  machine.TuningTruth{160e3, 180e3, 240e3},
+		Misled: tune.Wavefront, Margin: 1.125,
+		MisSeededPick: tune.Wavefront, ConvergedAt: -1, FinalPick: tune.Wavefront,
+		Arms: tuningArms(158e3, 181e3, 250e3),
 	}
 	if problems := CheckTuning([]TuningRow{nearTie}); len(problems) != 0 {
 		t.Fatalf("near-tie second place flagged: %v", problems)
 	}
 	stuck := nearTie
-	stuck.TunedEMANs = 10 * nearTie.BestEMANs
+	stuck.FinalPick, stuck.Arms = tune.WavefrontDynamic, tuningArms(158e3, 181e3, 2.5e6)
 	if problems := CheckTuning([]TuningRow{stuck}); len(problems) == 0 {
 		t.Errorf("catastrophic near-tie pick not flagged: %+v", stuck)
 	}
-
-	unmisled := decisive
-	unmisled.MisSeededPick = "wavefront"
-	if problems := CheckTuning([]TuningRow{unmisled}); len(problems) == 0 {
-		t.Errorf("ignored mis-seeding not flagged: %+v", unmisled)
+	unobserved := nearTie
+	unobserved.FinalPick = -1
+	if problems := CheckTuning([]TuningRow{unobserved}); len(problems) == 0 {
+		t.Errorf("thin row with no settled executor not flagged")
+	}
+	// A CI failure of the earlier truth-against-moving-average check: the
+	// tuner settled on the doacross, the fastest executor by the truth,
+	// whose 40-run average had swung to 309us; the thin-row bound compares
+	// it with the lowest average, the wavefront's 230us.
+	swung := TuningRow{
+		Name: "trisolve SPE2 near-tie", Workers: 2, Runs: 40, TruthReps: 6, Seed: 6,
+		Truth:  machine.TuningTruth{192e3, 204e3, 422e3},
+		Misled: tune.Wavefront, Margin: 204.0 / 192,
+		MisSeededPick: tune.Wavefront, ConvergedAt: 10, FinalPick: tune.Doacross,
+		Arms: tuningArms(309e3, 230e3, 450e3),
+	}
+	if problems := CheckTuning([]TuningRow{swung}); len(problems) != 0 {
+		t.Errorf("settle on the fastest executor flagged for its moving average: %v", problems)
 	}
 }
 
@@ -89,34 +128,35 @@ func TestCheckTuningClaims(t *testing.T) {
 // recovery.
 func TestTuningBenchRecords(t *testing.T) {
 	rows := []TuningRow{
-		{Name: "chain n=512", Workers: 4, TDoacross: 80 * time.Millisecond,
-			TWavefront: 40 * time.Microsecond, WorstExecutor: "doacross",
-			FinalPick: "wavefront", ConvergedAt: 4, TunedEMANs: 45_000, RecoverySpeedup: 1777},
-		{Name: "trisolve SPE2", Workers: 2, TDoacross: 160 * time.Microsecond,
-			TWavefront: 180 * time.Microsecond, WorstExecutor: "wavefront",
-			FinalPick: "doacross", ConvergedAt: -1, TunedEMANs: 161_000},
+		{Name: "chain n=512", Workers: 4, Truth: machine.TuningTruth{80e6, 40e3, 50e3},
+			Misled: tune.Doacross, FinalPick: tune.Wavefront, ConvergedAt: 4,
+			Arms: [tune.NumExecutors]doacross.TuningArm{tune.Wavefront: {Observations: 20, EMANs: 40e3}}},
+		{Name: "trisolve SPE2", Workers: 2, Truth: machine.TuningTruth{160e3, 180e3, 200e3},
+			Misled: tune.Wavefront, FinalPick: tune.Doacross, ConvergedAt: -1,
+			Arms: [tune.NumExecutors]doacross.TuningArm{tune.Doacross: {Observations: 20, EMANs: 161e3}}},
 	}
 	records := TuningBenchRecords(rows)
 	if len(records) != 2 {
 		t.Fatalf("got %d records, want 2", len(records))
 	}
-	if records[0].Experiment != "tuning" || records[0].ConvergedAtRun != 5 {
+	if records[0].Experiment != "tuning" || records[0].ConvergedAtRun != 5 || records[0].Executor != "wavefront" {
 		t.Fatalf("converged record: %+v", records[0])
 	}
-	if records[0].SeqNsPerOp != 80_000_000 || records[0].Speedup != 1777 {
+	if records[0].SeqNsPerOp != 80e6 || records[0].NsPerOp != 40e3 || records[0].Speedup != 2000 {
 		t.Fatalf("misled counterfactual mapping: %+v", records[0])
 	}
 	if records[1].ConvergedAtRun != 0 {
 		t.Fatalf("never-converged record must omit the run index: %+v", records[1])
 	}
-	if records[1].SeqNsPerOp != 180_000 {
-		t.Fatalf("worst-executor truth mapping: %+v", records[1])
+	if records[1].SeqNsPerOp != 180e3 {
+		t.Fatalf("misled-executor truth mapping: %+v", records[1])
 	}
 }
 
 // TestRunTuningExperimentSmoke is the live smoke: a small-budget run must
-// produce both workload rows with measured truth, a mis-seeded first pick and
-// a formatted table, whatever this host's executor ordering is.
+// produce the three rows with measured truth for every executor, a
+// mis-seeded first pick and a formatted table, whatever this host's executor
+// ordering is; the near-tie row keeps its fixed budget.
 func TestRunTuningExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live measurement skipped in -short mode")
@@ -125,73 +165,31 @@ func TestRunTuningExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	for _, r := range rows {
-		if r.TDoacross <= 0 || r.TWavefront <= 0 {
-			t.Fatalf("%s: missing ground truth: %+v", r.Name, r)
+		for e, ns := range r.Truth {
+			if ns <= 0 {
+				t.Fatalf("%s: missing %s ground truth: %+v", r.Name, tune.ExecutorName(e), r)
+			}
 		}
-		if r.MisSeededPick != r.WorstExecutor {
-			t.Errorf("%s: run 0 picked %q, want the mis-seeded %q", r.Name, r.MisSeededPick, r.WorstExecutor)
+		if r.MisSeededPick != r.Misled {
+			t.Errorf("%s: run 0 picked %q, want the mis-seeded %q", r.Name,
+				tune.ExecutorName(r.MisSeededPick), tune.ExecutorName(r.Misled))
 		}
-		if r.FinalPick == "" || r.BestEMANs <= 0 {
+		if r.FinalPick < 0 || r.settledNs() <= 0 {
 			t.Fatalf("%s: no settled measurement: %+v", r.Name, r)
 		}
 	}
+	if r := rows[2]; r.Workers != 2 || r.Runs != 40 || r.TruthReps != 6 || r.Seed != 6 {
+		t.Errorf("near-tie row budget %d workers, %d runs, %d reps, seed %d; want 2, 40, 6, 6",
+			r.Workers, r.Runs, r.TruthReps, r.Seed)
+	}
 	out := FormatTuning(rows)
-	if !strings.Contains(out, "chain n=512") || !strings.Contains(out, "trisolve SPE2") {
-		t.Errorf("format output missing workloads:\n%s", out)
-	}
-}
-
-// TestCheckTuningSettleClaims pins the near-tie bound on synthetic runs: a
-// settled executor whose truth is within 1.5x of the fastest truth passes,
-// one beyond it fails, and a settled executor the tuner never observed fails.
-// The settled executor's moving average does not decide: a fastest pick
-// passes however far its average swung.
-func TestCheckTuningSettleClaims(t *testing.T) {
-	s := TuningSettle{
-		Workers: 2, Runs: 40, TruthReps: 6,
-		Truth: map[string]time.Duration{
-			"doacross": 300 * time.Microsecond, "wavefront": 320 * time.Microsecond, "wavefront-dynamic": 540 * time.Microsecond,
-		},
-		Fastest: 300 * time.Microsecond, FirstPick: "doacross", Settled: "wavefront", Plans: 1,
-		Arms: map[string]doacross.TuningArm{
-			"doacross":          {Observations: 5, EMANs: 310_000},
-			"wavefront":         {Observations: 30, EMANs: 440_000},
-			"wavefront-dynamic": {Observations: 5, EMANs: 560_000},
-		},
-	}
-	if problems := CheckTuningSettle(s); len(problems) != 0 {
-		t.Fatalf("near-tie settle within 1.5x flagged: %v", problems)
-	}
-	stuck := s
-	stuck.Settled = "wavefront-dynamic"
-	if problems := CheckTuningSettle(stuck); len(problems) == 0 {
-		t.Errorf("settle at %v over a fastest %v not flagged", stuck.Arms["wavefront-dynamic"].EMANs, s.Fastest)
-	}
-	unobserved := s
-	unobserved.Settled = ""
-	if problems := CheckTuningSettle(unobserved); len(problems) == 0 {
-		t.Errorf("unobserved settled executor not flagged")
-	}
-	// A CI failure of the old mean-against-minimum check: the tuner settled
-	// on the doacross, the fastest executor by the truth, whose 40-run
-	// average had swung to 309us.
-	swung := TuningSettle{
-		Workers: 2, Runs: 40, TruthReps: 6,
-		Truth: map[string]time.Duration{
-			"doacross": 192 * time.Microsecond, "wavefront": 204 * time.Microsecond, "wavefront-dynamic": 422 * time.Microsecond,
-		},
-		Fastest: 192 * time.Microsecond, FirstPick: "doacross", Settled: "doacross", Plans: 1,
-		Arms: map[string]doacross.TuningArm{
-			"doacross":          {Observations: 30, EMANs: 309_000},
-			"wavefront":         {Observations: 5, EMANs: 230_000},
-			"wavefront-dynamic": {Observations: 5, EMANs: 450_000},
-		},
-	}
-	if problems := CheckTuningSettle(swung); len(problems) != 0 {
-		t.Errorf("settle on the fastest executor flagged for its moving average: %v", problems)
+	for _, name := range []string{"chain n=512", "trisolve SPE2", "trisolve SPE2 near-tie"} {
+		if !strings.Contains(out, name) {
+			t.Errorf("format output missing %s:\n%s", name, out)
+		}
 	}
 }

@@ -254,8 +254,7 @@ func TestDynamicWavefrontCrossover(t *testing.T) {
 	}
 }
 
-// TestSimulateDynamicWavefrontValidation pins the error paths and the
-// SimulateSchedule dispatch for the third model.
+// TestSimulateDynamicWavefrontValidation pins the error paths.
 func TestSimulateDynamicWavefrontValidation(t *testing.T) {
 	g := layeredGraph(4, 4)
 	cm, wc := uniformWavefrontCost()
@@ -267,15 +266,5 @@ func TestSimulateDynamicWavefrontValidation(t *testing.T) {
 	}
 	if _, err := SimulateDynamicWavefront(g, Config{Processors: 4}, CostModel{}, wc); err == nil {
 		t.Error("empty cost model accepted")
-	}
-	res, err := SimulateSchedule(g, ModelWavefrontDynamic, Config{Processors: 4}, cm, wc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Levels != 4 {
-		t.Errorf("dispatched dynamic model simulated %d levels, want 4", res.Levels)
-	}
-	if ModelWavefrontDynamic.String() != "wavefront-dynamic" {
-		t.Errorf("model name %q", ModelWavefrontDynamic.String())
 	}
 }

@@ -2,13 +2,14 @@
 // shared-memory multiprocessor executing a (preprocessed) doacross schedule.
 //
 // The paper's measurements were taken on a 16-processor Encore Multimax/320;
-// this substrate replaces that machine. Two execution models are simulated,
-// mirroring the two executors of the live runtime (package core):
+// this substrate replaces that machine. Three execution models are
+// simulated, mirroring the three executors of the live runtime (package
+// core) and the three arms of its Auto selection (package tune):
 //
-// The busy-wait doacross (Simulate, ModelDoacross) replays a given
-// iteration-to-processor assignment with an explicit cost model —
-// per-iteration base work, per-read-term work, per-read dependency-check
-// overhead, fixed per-iteration executor overhead, and the parallel
+// The busy-wait doacross (Simulate) replays a given iteration-to-processor
+// assignment with an explicit cost model — per-iteration base work,
+// per-read-term work, per-read dependency-check overhead, fixed
+// per-iteration executor overhead, and the parallel
 // preprocessing/postprocessing phases — and charges every true-dependency
 // wait as busy time on the waiting processor, exactly as the paper's
 // busy-wait implementation does. Two wait models are supported: the coarse
@@ -19,17 +20,23 @@
 // this partial overlap is what lets a natural-order doacross extract speedup
 // even from rows that depend on their immediate predecessor.
 //
-// The pre-scheduled wavefront execution (SimulateWavefront, ModelWavefront)
-// decomposes the dependency graph into wavefront levels and runs each level
-// as a statically scheduled doall with a barrier between levels: no flags
-// are checked and nothing ever busy-waits, but every level pays one barrier
-// and within-level imbalance shows up as idle time at that barrier. Its
-// per-iteration overhead (WavefrontCosts.IterOverhead) replaces the doacross
-// CheckPerRead/IterOverhead charges. SimulateSchedule dispatches between the
-// two models so experiment sweeps can emit both executor columns.
+// The pre-scheduled wavefront execution (SimulateWavefront) decomposes the
+// dependency graph into wavefront levels and runs each level as a statically
+// scheduled doall with a barrier between levels: no flags are checked and
+// nothing ever busy-waits, but every level pays one barrier and within-level
+// imbalance shows up as idle time at that barrier. Its per-iteration
+// overhead (WavefrontCosts.IterOverhead) replaces the doacross
+// CheckPerRead/IterOverhead charges. The dynamic within-level wavefront
+// (SimulateDynamicWavefront) runs the same levels but self-schedules each
+// one in chunks, paying WavefrontCosts.Claim per chunk claim. Both wavefront
+// models share one level replay.
 //
-// The output of either model is the parallel time, the sequential time and
-// the parallel efficiency T_seq / (p * T_par) the paper reports. The
+// SimulateTuning drives the online tuner's state machine (package tune)
+// against a fixed per-executor ground truth, the deterministic counterpart
+// of a live tuned runtime.
+//
+// The output of every execution model is the parallel time, the sequential
+// time and the parallel efficiency T_seq / (p * T_par) the paper reports. The
 // simulator is deterministic and independent of the host's core count, which
 // is what lets the experiments reproduce the paper's 16-processor curves on
 // any machine; the live runtime in package core provides the real-execution

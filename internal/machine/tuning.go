@@ -7,36 +7,12 @@ import (
 )
 
 // TuningTruth is the ground truth of a simulated tuning run: the actual
-// executor-phase time each executor strategy takes on the loop shape under
-// study, in nanoseconds. It plays the role the wall clock plays for the live
-// tuner (core.Runtime with Options.Tuning): every simulated run of an
-// executor observes exactly its truth time. DynamicNs <= 0 declares the
-// dynamic arm unavailable, matching a live runtime whose cost model carries
-// no claim coefficient.
-type TuningTruth struct {
-	DoacrossNs  float64
-	WavefrontNs float64
-	DynamicNs   float64
-}
-
-// observed returns the truth time of one tune arm.
-func (t TuningTruth) observed(arm int) float64 {
-	switch arm {
-	case tune.Wavefront:
-		return t.WavefrontNs
-	case tune.WavefrontDynamic:
-		return t.DynamicNs
-	default:
-		return t.DoacrossNs
-	}
-}
-
-// BestArm returns the tune arm index of the truly fastest available executor
-// — the pick a converged tuner must settle on. The dynamic arm competes only
-// when DynamicNs is positive.
-func (t TuningTruth) BestArm() int {
-	return tune.Best([tune.NumExecutors]float64{t.DoacrossNs, t.WavefrontNs, t.DynamicNs}, t.DynamicNs > 0)
-}
+// executor-phase time of each executor strategy on the loop shape under
+// study, in nanoseconds, indexed by tune arm (tune.Doacross, ...). It plays
+// the role the wall clock plays for the live tuner (core.Runtime with
+// Options.Tuning): every simulated run of an executor observes exactly its
+// truth time.
+type TuningTruth [tune.NumExecutors]float64
 
 // TuningStep records one simulated tuned run: the decision, what the model
 // predicted for the picked arm before observing (from the pre-observation
@@ -62,9 +38,9 @@ type TuningTrajectory struct {
 	// against a live runtime's state, since both drive the same tune package.
 	Final tune.PlanState
 	// ConvergedAt is the first run index from which every non-explored
-	// decision picked the truth's best arm (explorations are deliberate and
-	// excluded), or -1 if the tuner never settled. 0 means the seed
-	// coefficients already agreed with the truth.
+	// decision picked the truth's best arm (tune.Best of the truth;
+	// explorations are deliberate and excluded), or -1 if the tuner never
+	// settled. 0 means the seed coefficients already agreed with the truth.
 	ConvergedAt int
 }
 
@@ -80,18 +56,11 @@ type TuningTrajectory struct {
 //
 // o.InitialCosts seeds the coefficients, as it does for a live tuner (there
 // is no probe here: a zero seed stays zero up to the tuner's floors); st,
-// workers and nrhs describe the plan shape being tuned. When the truth
-// carries no dynamic time the seed's claim coefficient is zeroed so the
-// model excludes the dynamic arm, as a live cost model without a claim
-// coefficient does.
+// workers and nrhs describe the plan shape being tuned.
 func SimulateTuning(truth TuningTruth, st tune.Stats, workers, nrhs, runs int, o tune.Options) TuningTrajectory {
 	o = o.WithDefaults()
-	start := o.InitialCosts
-	if truth.DynamicNs <= 0 {
-		start.ClaimNs = 0
-	}
 	rng := tune.NewRNG(o.Seed)
-	ps := tune.NewPlanState(start)
+	ps := tune.NewPlanState(o.InitialCosts)
 	traj := TuningTrajectory{ConvergedAt: -1}
 	if runs > 0 {
 		traj.Steps = make([]TuningStep, 0, runs)
@@ -100,7 +69,7 @@ func SimulateTuning(truth TuningTruth, st tune.Stats, workers, nrhs, runs int, o
 		pick, explored := ps.Decide(st, workers, nrhs, o, rng)
 		tDa, tWf, tDyn := ps.Coeffs.PredictN(st, workers, nrhs)
 		pred := [tune.NumExecutors]float64{tDa, tWf, tDyn}[pick]
-		obs := truth.observed(pick)
+		obs := truth[pick]
 		ps.Observe(pick, st, workers, nrhs, obs)
 		traj.Steps = append(traj.Steps, TuningStep{
 			Run:         r,
@@ -118,7 +87,7 @@ func SimulateTuning(truth TuningTruth, st tune.Stats, workers, nrhs, runs int, o
 	// (non-explored) decision picked the truth's best arm. A trailing block
 	// of explorations extends the suffix — they are deliberate detours, not
 	// changes of mind.
-	best := truth.BestArm()
+	best := tune.Best(truth)
 	converged := -1
 	for i := len(traj.Steps) - 1; i >= 0; i-- {
 		s := traj.Steps[i]

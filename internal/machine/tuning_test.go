@@ -59,7 +59,7 @@ func TestSimulateTuningMatchesManualReplay(t *testing.T) {
 	st := tune.Stats{Iterations: 512, Edges: 600, Levels: 24, CriticalPathLen: 24,
 		ScheduleRounds: 130, DynamicClaims: 300}
 	start := tune.Coeffs{BarrierNs: 900, FlagCheckNs: 45, ClaimNs: 20, IterNs: 150}
-	truth := TuningTruth{DoacrossNs: 400_000, WavefrontNs: 150_000, DynamicNs: 180_000}
+	truth := TuningTruth{400_000, 150_000, 180_000}
 	o := tune.Options{InitialCosts: start, Seed: 42}
 	const workers, nrhs, runs = 4, 1, 48
 
@@ -74,16 +74,7 @@ func TestSimulateTuningMatchesManualReplay(t *testing.T) {
 			t.Fatalf("run %d: simulator decided (%d,%v), manual replay (%d,%v)",
 				r, traj.Steps[r].Pick, traj.Steps[r].Explored, pick, explored)
 		}
-		var obs float64
-		switch pick {
-		case tune.Wavefront:
-			obs = truth.WavefrontNs
-		case tune.WavefrontDynamic:
-			obs = truth.DynamicNs
-		default:
-			obs = truth.DoacrossNs
-		}
-		ps.Observe(pick, st, workers, nrhs, obs)
+		ps.Observe(pick, st, workers, nrhs, truth[pick])
 	}
 	if !reflect.DeepEqual(traj.Final, ps) {
 		t.Fatalf("final state diverged:\nsimulator %+v\nmanual    %+v", traj.Final, ps)
@@ -96,17 +87,18 @@ func TestSimulateTuningMatchesManualReplay(t *testing.T) {
 func TestSimulateTuningConvergesFromWrongSeed(t *testing.T) {
 	// A deep chain: the truth says busy-wait doacross wins by 40x (the
 	// wavefront pays a barrier per unit-width level), but the seed's
-	// overpriced flag cost makes the model predict the opposite.
+	// overpriced flag cost makes the model predict the opposite, and its
+	// overpriced claims keep the dynamic arm out of the greedy picks.
 	st := tune.Stats{Iterations: 2048, Edges: 2047, Levels: 2048,
 		CriticalPathLen: 2048, ScheduleRounds: 2048}
-	start := tune.Coeffs{BarrierNs: 0.01, FlagCheckNs: 5000, IterNs: 100}
-	truth := TuningTruth{DoacrossNs: 50_000, WavefrontNs: 2_000_000}
+	start := tune.Coeffs{BarrierNs: 0.01, FlagCheckNs: 5000, ClaimNs: 1e6, IterNs: 100}
+	truth := TuningTruth{50_000, 2_000_000, 2_100_000}
 	const runs = 32
 	if tDa, tWf, _ := tune.Sanitize(start).PredictN(st, 4, 1); tWf >= tDa {
 		t.Fatalf("seed coefficients do not mislead the model: doacross %v <= wavefront %v", tDa, tWf)
 	}
 	traj := SimulateTuning(truth, st, 4, 1, runs, tune.Options{InitialCosts: start, Seed: 3})
-	if best := truth.BestArm(); best != tune.Doacross {
+	if best := tune.Best(truth); best != tune.Doacross {
 		t.Fatalf("truth's best arm = %d, want doacross", best)
 	}
 	if traj.ConvergedAt < 0 {
@@ -119,25 +111,6 @@ func TestSimulateTuningConvergesFromWrongSeed(t *testing.T) {
 		if !s.Explored && s.Pick != tune.Doacross {
 			t.Fatalf("post-convergence greedy run %d picked arm %d", s.Run, s.Pick)
 		}
-	}
-}
-
-// TestSimulateTuningExcludesDynamicWithoutTruth checks the availability rule:
-// a truth with no dynamic time zeroes the claim coefficient, so the dynamic
-// arm is never run however the seed priced it.
-func TestSimulateTuningExcludesDynamicWithoutTruth(t *testing.T) {
-	st := tune.Stats{Iterations: 256, Edges: 300, Levels: 16, CriticalPathLen: 16,
-		ScheduleRounds: 64, DynamicClaims: 100}
-	start := tune.Coeffs{BarrierNs: 500, FlagCheckNs: 40, ClaimNs: 1e-9, IterNs: 100}
-	truth := TuningTruth{DoacrossNs: 300_000, WavefrontNs: 120_000}
-	traj := SimulateTuning(truth, st, 4, 1, 40, tune.Options{InitialCosts: start, Seed: 9})
-	for _, s := range traj.Steps {
-		if s.Pick == tune.WavefrontDynamic {
-			t.Fatalf("run %d picked the unavailable dynamic arm", s.Run)
-		}
-	}
-	if traj.Final.Coeffs.ClaimNs != 0 {
-		t.Errorf("claim coefficient survived: %v", traj.Final.Coeffs.ClaimNs)
 	}
 }
 
@@ -159,7 +132,7 @@ func TestSimulateTuningPropertyRandomDAGs(t *testing.T) {
 		trueIter := 100 + 4900*rng.Float64()
 		trueCoeffs := tune.Coeffs{BarrierNs: 200, FlagCheckNs: 20, ClaimNs: 15, IterNs: trueIter}
 		tDa, tWf, tDyn := trueCoeffs.PredictN(st, workers, nrhs)
-		truth := TuningTruth{DoacrossNs: tDa, WavefrontNs: tWf, DynamicNs: tDyn}
+		truth := TuningTruth{tDa, tWf, tDyn}
 
 		// The seed knows the overheads but not the body weight — the common
 		// deployment, where the probe measured synchronization primitives but

@@ -8,47 +8,6 @@ import (
 	"doacross/internal/sched"
 )
 
-// ExecModel selects which execution model SimulateSchedule replays: the
-// paper's flag-based busy-wait doacross, or the pre-scheduled wavefront
-// execution its inspector enables (barrier-separated doall per level).
-type ExecModel int
-
-const (
-	// ModelDoacross is the busy-wait doacross of Simulate: iterations start
-	// in schedule order, every true-dependency read checks a flag and may
-	// busy-wait, and the preprocessing and postprocessing doalls bracket the
-	// executor phase.
-	ModelDoacross ExecModel = iota
-	// ModelWavefront is the pre-scheduled level execution of
-	// SimulateWavefront: the dependency graph is decomposed into wavefront
-	// levels, each level runs as a statically scheduled doall, and a barrier
-	// separates consecutive levels. No flags are checked and no iteration
-	// ever waits on a predecessor; imbalance within a level shows up as idle
-	// time at the level barrier instead.
-	ModelWavefront
-	// ModelWavefrontDynamic is the dynamic within-level execution of
-	// SimulateDynamicWavefront: the same level decomposition, but inside
-	// each level the processors self-schedule chunks of the member list
-	// (greedy list scheduling — each chunk goes to the earliest-free
-	// processor) at a per-chunk claim cost. Cost variance within a level is
-	// absorbed up to the chunk granularity; the claim traffic is the price.
-	ModelWavefrontDynamic
-)
-
-// String returns the model's name as used in experiment tables.
-func (m ExecModel) String() string {
-	switch m {
-	case ModelDoacross:
-		return "doacross"
-	case ModelWavefront:
-		return "wavefront"
-	case ModelWavefrontDynamic:
-		return "wavefront-dynamic"
-	default:
-		return "unknown"
-	}
-}
-
 // WavefrontCosts extends a CostModel with the costs specific to the two
 // wavefront executors. The doacross costs it replaces (CheckPerRead,
 // IterOverhead) are never charged by the wavefront models.
@@ -63,7 +22,7 @@ type WavefrontCosts struct {
 	IterOverhead float64
 	// Claim is the cost of one dynamic chunk claim — the contended atomic
 	// fetch-add of the self-scheduling loop. Charged only by
-	// ModelWavefrontDynamic: once per successful chunk claim, plus the one
+	// SimulateDynamicWavefront: once per successful chunk claim, plus the one
 	// failed claim with which each processor discovers a level is exhausted.
 	Claim float64
 	// Chunk is the dynamic model's chunk size: how many member positions one
@@ -74,42 +33,22 @@ type WavefrontCosts struct {
 	Chunk int
 }
 
-// SimulateSchedule replays the dependency graph under the selected execution
-// model: ModelDoacross forwards to Simulate (wc is ignored), ModelWavefront
-// to SimulateWavefront, ModelWavefrontDynamic to SimulateDynamicWavefront.
-// It exists so the experiment sweeps can produce every executor column from
-// one call site.
-func SimulateSchedule(g *depgraph.Graph, model ExecModel, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
-	switch model {
-	case ModelDoacross:
-		return Simulate(g, cfg, cm)
-	case ModelWavefront:
-		return SimulateWavefront(g, cfg, cm, wc)
-	case ModelWavefrontDynamic:
-		return SimulateDynamicWavefront(g, cfg, cm, wc)
-	default:
-		return Result{}, fmt.Errorf("machine: unknown execution model %d", int(model))
-	}
-}
+// levelFunc replays level l of a wavefront execution under the (possibly
+// zeroed) costs wc: it adds each worker's time in the level to busy and
+// returns the level's elapsed time — its slowest worker's — and the number
+// of chunk claims it issued.
+type levelFunc func(l int, wc WavefrontCosts, busy []float64) (elapsed float64, claims int)
 
-// SimulateWavefront simulates the pre-scheduled wavefront execution of the
-// dependency graph: the graph is decomposed into wavefront levels, the levels
-// are distributed over min(Processors, widest level) workers under cfg.Policy
-// (exactly as the live wavefront executor clamps its schedule), and the
-// elapsed executor time is the sum over levels of the slowest worker's work
-// plus one barrier per level.
-//
-// The preprocessing phase is charged as the parallel inspector
-// (ceil(N/P) * PrePerIter), modelling a cold inspection; set
-// cfg.SkipInspector to model the warm run whose plan comes from the schedule
-// cache. The postprocessing phase is the copy-back doall
-// (ceil(N/P) * PostPerIter). cfg.Order must be nil — the wavefront derives
-// its own level order — and cfg.ReadPreds and SkipChecks are ignored: the
-// model has no flags and no waits by construction.
-func SimulateWavefront(g *depgraph.Graph, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
-	if cfg.Order != nil {
-		return Result{}, fmt.Errorf("machine: the wavefront model derives its own level order and cannot honor Config.Order")
-	}
+// replayLevels is the replay both wavefront models share: it validates the
+// configuration, sums TSeq, zeroes every overhead under cfg.SkipOverheads,
+// charges the preprocessing phase as the parallel inspector (ceil(N/P) *
+// PrePerIter, unless cfg.SkipInspector) and the postprocessing phase as the
+// copy-back doall (ceil(N/P) * PostPerIter, unless cfg.SkipPostprocess), and
+// runs the executor phase as the sum over levels of level's elapsed time
+// plus one barrier. WaitTime is zero by construction — there are no flags to
+// wait on, and within-level imbalance appears as idle time at the barriers,
+// i.e. in the gap between ExecTime and the ProcBusy fractions.
+func replayLevels(n, levels, workers int, cfg Config, cm CostModel, wc WavefrontCosts, level levelFunc) (Result, error) {
 	p := cfg.Processors
 	if p < 1 {
 		return Result{}, fmt.Errorf("machine: need at least one processor, got %d", p)
@@ -117,17 +56,65 @@ func SimulateWavefront(g *depgraph.Graph, cfg Config, cm CostModel, wc Wavefront
 	if cm.BaseWork == nil && cm.TermWork == 0 {
 		return Result{}, fmt.Errorf("machine: cost model requires BaseWork or TermWork")
 	}
+	res := Result{Processors: p, Iterations: n, Levels: levels}
+	for i := 0; i < n; i++ {
+		res.TSeq += cm.IterWork(i)
+	}
+
+	prePerIter := cm.PrePerIter
+	postPerIter := cm.PostPerIter
+	if cfg.SkipOverheads {
+		wc.IterOverhead, wc.Barrier, wc.Claim, prePerIter, postPerIter = 0, 0, 0, 0, 0
+	}
+	perProc := int(math.Ceil(float64(n) / float64(p)))
+	if !cfg.SkipInspector {
+		res.PreTime = float64(perProc) * prePerIter
+	}
+	if !cfg.SkipPostprocess {
+		res.PostTime = float64(perProc) * postPerIter
+	}
+
+	busy := make([]float64, workers)
+	exec := 0.0
+	claims := 0
+	for l := 0; l < levels; l++ {
+		elapsed, c := level(l, wc, busy)
+		exec += elapsed + wc.Barrier
+		claims += c
+	}
+	res.ExecTime = exec
+	res.BarrierTime = wc.Barrier * float64(levels)
+	res.OverheadTime = float64(n)*wc.IterOverhead + res.BarrierTime + wc.Claim*float64(claims)
+	res.TPar = res.PreTime + res.ExecTime + res.PostTime
+	if exec > 0 {
+		// Every worker's busy time is at most exec, so a zero exec leaves
+		// every fraction zero.
+		for w := range busy {
+			busy[w] /= exec
+		}
+	}
+	res.ProcBusy = busy
+	finishResult(&res)
+	return res, nil
+}
+
+// replayGraph runs replayLevels over g's wavefront levels, with the
+// processors clamped to the widest level exactly as the live executors clamp
+// their schedules, and adds the graph's critical path under the per-iteration
+// cost the replay charged. newLevel builds the model's levelFunc for the
+// decomposition and the clamped processor count. cfg.Order must be nil — a
+// wavefront derives its own level order — and cfg.ReadPreds and SkipChecks
+// are ignored: the models have no flags and no waits.
+func replayGraph(g *depgraph.Graph, cfg Config, cm CostModel, wc WavefrontCosts, newLevel func(ls *depgraph.LevelSet, workers int) levelFunc) (Result, error) {
+	if cfg.Order != nil {
+		return Result{}, fmt.Errorf("machine: the wavefront model derives its own level order and cannot honor Config.Order")
+	}
 	ls := g.LevelsInto(nil)
-	pEff := p
-	if w := ls.MaxWidth(); pEff > w {
-		// Processors beyond the widest level would only spin at the barriers.
-		pEff = w
+	workers := min(cfg.Processors, ls.MaxWidth())
+	if workers < 1 {
+		workers = 1
 	}
-	if pEff < 1 {
-		pEff = 1
-	}
-	s := sched.NewLevelSchedule(ls.Members, ls.Off, cfg.Policy, pEff)
-	res, err := SimulateLevelSchedule(s, cfg, cm, wc)
+	res, err := replayLevels(g.N, ls.Count(), workers, cfg, cm, wc, newLevel(ls, workers))
 	if err != nil {
 		return Result{}, err
 	}
@@ -139,196 +126,107 @@ func SimulateWavefront(g *depgraph.Graph, cfg Config, cm CostModel, wc Wavefront
 	return res, nil
 }
 
+// SimulateWavefront simulates the pre-scheduled wavefront execution of the
+// dependency graph: the graph is decomposed into wavefront levels, the levels
+// are distributed over min(Processors, widest level) workers under cfg.Policy,
+// and the elapsed executor time is the sum over levels of the slowest
+// worker's work plus one barrier per level (see replayLevels for the phases
+// and replayGraph for the Config restrictions). Set cfg.SkipInspector to
+// model the warm run whose plan comes from the schedule cache.
+func SimulateWavefront(g *depgraph.Graph, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
+	return replayGraph(g, cfg, cm, wc, func(ls *depgraph.LevelSet, workers int) levelFunc {
+		return staticLevels(sched.NewLevelSchedule(ls.Members, ls.Off, cfg.Policy, workers), cm)
+	})
+}
+
 // SimulateLevelSchedule replays a concrete level schedule under the wavefront
-// execution model. Each level's elapsed time is the maximum over workers of
+// execution model: each level's elapsed time is the maximum over workers of
 // the sum of their assigned iterations' cost (useful work plus
 // wc.IterOverhead), and every level is followed by one barrier. The schedule
-// is taken as given — callers that want the automatic worker clamp and the
-// graph-derived critical path use SimulateWavefront.
-//
-// Result.CriticalPath is left zero (the schedule alone does not carry the
-// dependency graph); Result.WaitTime is zero by construction — there are no
-// flags to wait on, and within-level imbalance appears as idle time at the
-// barriers, i.e. in the gap between ExecTime and the ProcBusy fractions.
+// is taken as given, so Result.CriticalPath is left zero (the schedule alone
+// does not carry the dependency graph); SimulateWavefront adds the worker
+// clamp and the critical path.
 func SimulateLevelSchedule(s *sched.LevelSchedule, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
-	p := cfg.Processors
-	if p < 1 {
-		return Result{}, fmt.Errorf("machine: need at least one processor, got %d", p)
-	}
-	if cm.BaseWork == nil && cm.TermWork == 0 {
-		return Result{}, fmt.Errorf("machine: cost model requires BaseWork or TermWork")
-	}
-	n := s.N()
-	res := Result{Processors: p, Iterations: n, Levels: s.Levels()}
-	for i := 0; i < n; i++ {
-		res.TSeq += cm.IterWork(i)
-	}
+	return replayLevels(s.N(), s.Levels(), s.Workers(), cfg, cm, wc, staticLevels(s, cm))
+}
 
-	iterOverhead := wc.IterOverhead
-	barrier := wc.Barrier
-	prePerIter := cm.PrePerIter
-	postPerIter := cm.PostPerIter
-	if cfg.SkipOverheads {
-		iterOverhead, barrier, prePerIter, postPerIter = 0, 0, 0, 0
-	}
-
-	perProc := int(math.Ceil(float64(n) / float64(p)))
-	if !cfg.SkipInspector {
-		res.PreTime = float64(perProc) * prePerIter
-	}
-	if !cfg.SkipPostprocess {
-		res.PostTime = float64(perProc) * postPerIter
-	}
-
-	workers := s.Workers()
-	procBusy := make([]float64, workers)
-	exec := 0.0
-	for l := 0; l < s.Levels(); l++ {
+// staticLevels is the static model's levelFunc: every worker runs its
+// assigned items of the level back to back.
+func staticLevels(s *sched.LevelSchedule, cm CostModel) levelFunc {
+	return func(l int, wc WavefrontCosts, busy []float64) (float64, int) {
 		levelMax := 0.0
-		for w := 0; w < workers; w++ {
+		for w := range busy {
 			tw := 0.0
 			for _, it := range s.Items(l, w) {
-				tw += cm.IterWork(int(it)) + iterOverhead
+				tw += cm.IterWork(int(it)) + wc.IterOverhead
 			}
-			procBusy[w] += tw
+			busy[w] += tw
 			if tw > levelMax {
 				levelMax = tw
 			}
 		}
-		exec += levelMax + barrier
+		return levelMax, 0
 	}
-	res.ExecTime = exec
-	res.BarrierTime = barrier * float64(s.Levels())
-	res.OverheadTime = float64(n)*iterOverhead + res.BarrierTime
-	res.TPar = res.PreTime + res.ExecTime + res.PostTime
-	res.ProcBusy = make([]float64, workers)
-	if exec > 0 {
-		for w := 0; w < workers; w++ {
-			res.ProcBusy[w] = procBusy[w] / exec
-		}
-	}
-	finishResult(&res)
-	return res, nil
 }
 
 // SimulateDynamicWavefront simulates the dynamic within-level wavefront
-// execution of the dependency graph: the graph is decomposed into wavefront
-// levels exactly as SimulateWavefront does (processors clamped to the widest
-// level), but inside each level the processors self-schedule chunks of the
-// level's member list by greedy list scheduling — each successive chunk is
-// claimed by the earliest-free processor, which first pays wc.Claim for the
-// claim itself and then executes the chunk's iterations (work plus
-// wc.IterOverhead each). When the list is exhausted every processor pays one
-// more wc.Claim, the failed claim with which the live executor's claim loop
-// discovers the level is empty; the level's elapsed time is the latest
-// processor finish, followed by one barrier.
+// execution of the dependency graph: the same level decomposition and
+// processor clamp as SimulateWavefront, but inside each level the processors
+// self-schedule chunks of the level's member list by greedy list scheduling
+// — each successive chunk is claimed by the earliest-free processor, which
+// first pays wc.Claim for the claim itself and then executes the chunk's
+// iterations (work plus wc.IterOverhead each). When the list is exhausted
+// every processor pays one more wc.Claim, the failed claim with which the
+// live executor's claim loop discovers the level is empty; the level's
+// elapsed time is the latest processor finish, followed by one barrier. The
+// chunk is wc.Chunk (sched.DefaultChunk when zero), clamped per level by
+// sched.LevelChunk as the live executor clamps it.
 //
 // This replays the live dynamic executor's cost structure faithfully enough
 // to locate the static/dynamic crossover: with uniform per-iteration costs
 // the greedy assignment degenerates to the static one and the claim traffic
 // is pure loss, while heavy-tailed within-level costs leave the static
 // schedule waiting on whichever processor drew the hot member — idle time
-// the greedy claims reclaim. Preprocessing, postprocessing, Config
-// restrictions (Order must be nil) and Result conventions match
-// SimulateWavefront; WaitTime is zero by construction.
+// the greedy claims reclaim.
 func SimulateDynamicWavefront(g *depgraph.Graph, cfg Config, cm CostModel, wc WavefrontCosts) (Result, error) {
-	if cfg.Order != nil {
-		return Result{}, fmt.Errorf("machine: the wavefront model derives its own level order and cannot honor Config.Order")
-	}
-	p := cfg.Processors
-	if p < 1 {
-		return Result{}, fmt.Errorf("machine: need at least one processor, got %d", p)
-	}
-	if cm.BaseWork == nil && cm.TermWork == 0 {
-		return Result{}, fmt.Errorf("machine: cost model requires BaseWork or TermWork")
-	}
-	ls := g.LevelsInto(nil)
-	pEff := p
-	if w := ls.MaxWidth(); pEff > w {
-		// Processors beyond the widest level would only spin at the barriers.
-		pEff = w
-	}
-	if pEff < 1 {
-		pEff = 1
-	}
 	chunk := wc.Chunk
 	if chunk < 1 {
 		chunk = sched.DefaultChunk
 	}
-
-	n := g.N
-	res := Result{Processors: p, Iterations: n, Levels: ls.Count()}
-	for i := 0; i < n; i++ {
-		res.TSeq += cm.IterWork(i)
-	}
-
-	iterOverhead := wc.IterOverhead
-	barrier := wc.Barrier
-	claim := wc.Claim
-	prePerIter := cm.PrePerIter
-	postPerIter := cm.PostPerIter
-	if cfg.SkipOverheads {
-		iterOverhead, barrier, claim, prePerIter, postPerIter = 0, 0, 0, 0, 0
-	}
-
-	perProc := int(math.Ceil(float64(n) / float64(p)))
-	if !cfg.SkipInspector {
-		res.PreTime = float64(perProc) * prePerIter
-	}
-	if !cfg.SkipPostprocess {
-		res.PostTime = float64(perProc) * postPerIter
-	}
-
-	clocks := make([]float64, pEff)
-	procBusy := make([]float64, pEff)
-	exec := 0.0
-	claims := 0
-	for l := 0; l < ls.Count(); l++ {
-		members := ls.LevelMembers(l)
-		levelChunk := sched.LevelChunk(chunk, len(members), pEff)
-		for w := range clocks {
-			clocks[w] = 0
-		}
-		for idx := 0; idx < len(members); idx += levelChunk {
-			w := 0
-			for v := 1; v < pEff; v++ {
-				if clocks[v] < clocks[w] {
-					w = v
+	return replayGraph(g, cfg, cm, wc, func(ls *depgraph.LevelSet, workers int) levelFunc {
+		clocks := make([]float64, workers)
+		return func(l int, wc WavefrontCosts, busy []float64) (float64, int) {
+			members := ls.LevelMembers(l)
+			levelChunk := sched.LevelChunk(chunk, len(members), workers)
+			for w := range clocks {
+				clocks[w] = 0
+			}
+			claims := 0
+			for idx := 0; idx < len(members); idx += levelChunk {
+				w := 0
+				for v := 1; v < workers; v++ {
+					if clocks[v] < clocks[w] {
+						w = v
+					}
+				}
+				end := min(idx+levelChunk, len(members))
+				clocks[w] += wc.Claim
+				claims++
+				for _, it := range members[idx:end] {
+					clocks[w] += cm.IterWork(int(it)) + wc.IterOverhead
 				}
 			}
-			end := idx + levelChunk
-			if end > len(members) {
-				end = len(members)
+			levelMax := 0.0
+			for w := range clocks {
+				// The failed claim that ends each processor's level.
+				clocks[w] += wc.Claim
+				claims++
+				busy[w] += clocks[w]
+				if clocks[w] > levelMax {
+					levelMax = clocks[w]
+				}
 			}
-			clocks[w] += claim
-			claims++
-			for _, it := range members[idx:end] {
-				clocks[w] += cm.IterWork(int(it)) + iterOverhead
-			}
+			return levelMax, claims
 		}
-		levelMax := 0.0
-		for w := range clocks {
-			// The failed claim that ends each processor's level.
-			clocks[w] += claim
-			claims++
-			procBusy[w] += clocks[w]
-			if clocks[w] > levelMax {
-				levelMax = clocks[w]
-			}
-		}
-		exec += levelMax + barrier
-	}
-	res.ExecTime = exec
-	res.BarrierTime = barrier * float64(ls.Count())
-	res.OverheadTime = float64(n)*iterOverhead + res.BarrierTime + claim*float64(claims)
-	res.TPar = res.PreTime + res.ExecTime + res.PostTime
-	res.ProcBusy = make([]float64, pEff)
-	if exec > 0 {
-		for w := 0; w < pEff; w++ {
-			res.ProcBusy[w] = procBusy[w] / exec
-		}
-	}
-	res.CriticalPath, _ = g.CriticalPath(func(i int) float64 { return cm.IterWork(i) + iterOverhead })
-	finishResult(&res)
-	return res, nil
+	})
 }

@@ -46,26 +46,26 @@ func TestSimulateWavefrontCrossover(t *testing.T) {
 	cases := []struct {
 		name         string
 		width, depth int
-		wantWinner   ExecModel
+		wantWinner   string
 	}{
-		{"wide shallow", 256, 4, ModelWavefront},
-		{"wide moderate", 128, 16, ModelWavefront},
-		{"chain", 1, 512, ModelDoacross},
-		{"narrow deep", 4, 256, ModelDoacross},
+		{"wide shallow", 256, 4, "wavefront"},
+		{"wide moderate", 128, 16, "wavefront"},
+		{"chain", 1, 512, "doacross"},
+		{"narrow deep", 4, 256, "doacross"},
 	}
 	for _, tc := range cases {
 		g := layeredGraph(tc.width, tc.depth)
-		da, err := SimulateSchedule(g, ModelDoacross, cfg, cm, wc)
+		da, err := Simulate(g, cfg, cm)
 		if err != nil {
 			t.Fatalf("%s: doacross: %v", tc.name, err)
 		}
-		wf, err := SimulateSchedule(g, ModelWavefront, cfg, cm, wc)
+		wf, err := SimulateWavefront(g, cfg, cm, wc)
 		if err != nil {
 			t.Fatalf("%s: wavefront: %v", tc.name, err)
 		}
-		winner := ModelDoacross
+		winner := "doacross"
 		if wf.TPar < da.TPar {
-			winner = ModelWavefront
+			winner = "wavefront"
 		}
 		if winner != tc.wantWinner {
 			t.Errorf("%s (width %d depth %d): %v won (doacross %.1f vs wavefront %.1f), want %v",
@@ -99,7 +99,7 @@ func TestSimulateWavefrontBarrierSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := -1.0
-	var winners []ExecModel
+	var winners []string
 	for _, barrier := range []float64{0, 0.5, 2, 8, 32, 128} {
 		wc.Barrier = barrier
 		wf, err := SimulateWavefront(g, cfg, cm, wc)
@@ -111,19 +111,19 @@ func TestSimulateWavefrontBarrierSweep(t *testing.T) {
 		}
 		prev = wf.TPar
 		if wf.TPar < da.TPar {
-			winners = append(winners, ModelWavefront)
+			winners = append(winners, "wavefront")
 		} else {
-			winners = append(winners, ModelDoacross)
+			winners = append(winners, "doacross")
 		}
 	}
-	if winners[0] != ModelWavefront {
+	if winners[0] != "wavefront" {
 		t.Errorf("free barriers should favor the wavefront, got %v", winners[0])
 	}
-	if winners[len(winners)-1] != ModelDoacross {
+	if winners[len(winners)-1] != "doacross" {
 		t.Errorf("extreme barriers should favor the doacross, got %v", winners[len(winners)-1])
 	}
 	for i := 1; i < len(winners); i++ {
-		if winners[i-1] == ModelDoacross && winners[i] == ModelWavefront {
+		if winners[i-1] == "doacross" && winners[i] == "wavefront" {
 			t.Errorf("winner flipped back to wavefront as barriers got more expensive: %v", winners)
 		}
 	}
@@ -185,8 +185,7 @@ func TestSimulateLevelScheduleAccounting(t *testing.T) {
 }
 
 // TestSimulateWavefrontValidation pins the error paths: an explicit order,
-// a processorless config, and an empty cost model are all rejected, and the
-// unknown-model dispatch fails.
+// a processorless config, and an empty cost model are all rejected.
 func TestSimulateWavefrontValidation(t *testing.T) {
 	g := layeredGraph(2, 2)
 	cm, wc := uniformWavefrontCost()
@@ -198,11 +197,5 @@ func TestSimulateWavefrontValidation(t *testing.T) {
 	}
 	if _, err := SimulateWavefront(g, Config{Processors: 4}, CostModel{}, wc); err == nil {
 		t.Error("empty cost model accepted")
-	}
-	if _, err := SimulateSchedule(g, ExecModel(9), Config{Processors: 4}, cm, wc); err == nil {
-		t.Error("unknown exec model accepted")
-	}
-	if ModelDoacross.String() != "doacross" || ModelWavefront.String() != "wavefront" {
-		t.Error("model names wrong")
 	}
 }

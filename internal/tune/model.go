@@ -15,10 +15,9 @@ import (
 //
 // The model estimates the executor-phase time of all three strategies from
 // the inspection statistics (see PredictN) and picks the cheapest one
-// (Choose). Zero-valued BarrierNs/FlagCheckNs mean "calibrate on first use":
-// the runtime micro-times one level-barrier rendezvous, one
-// iter-table/ready-flag operation and one dynamic chunk claim on its live
-// pool, once per Runtime.
+// (Choose). The zero value means "calibrate on first use": the runtime
+// micro-times one level-barrier rendezvous, one iter-table/ready-flag
+// operation and one dynamic chunk claim on its live pool, once per Runtime.
 type Coeffs struct {
 	// BarrierNs is the cost of one level-barrier rendezvous at the runtime's
 	// worker count — what both wavefront executors pay once per level.
@@ -31,11 +30,6 @@ type Coeffs struct {
 	// ClaimNs is the cost of one dynamic chunk claim: the contended atomic
 	// fetch-add of the self-scheduling loop, what the dynamic within-level
 	// wavefront pays per chunk (plus one failed claim per worker per level).
-	// Zero means no claim coefficient is available — the dynamic executor is
-	// then excluded from the comparison (PredictN reports zero for it), which
-	// keeps decisions from coefficients configured before the dynamic
-	// executor existed exactly two-way. The self-calibration probe always
-	// measures it.
 	ClaimNs float64
 	// IterNs is an optional estimate of one iteration's useful work. The
 	// probe cannot know the body's cost, so it defaults to zero — the
@@ -47,10 +41,10 @@ type Coeffs struct {
 }
 
 // Valid reports whether the coefficients are usable for a decision: all four
-// finite, BarrierNs and FlagCheckNs positive, ClaimNs and IterNs
-// non-negative. The zero value is not valid; it means "not configured".
+// finite, BarrierNs, FlagCheckNs and ClaimNs positive, IterNs non-negative.
+// The zero value is not valid; it means "not configured".
 func (c Coeffs) Valid() bool {
-	return c.BarrierNs > 0 && c.FlagCheckNs > 0 &&
+	return c.BarrierNs > 0 && c.FlagCheckNs > 0 && c.ClaimNs > 0 &&
 		usable(c.BarrierNs) && usable(c.FlagCheckNs) && usable(c.ClaimNs) && usable(c.IterNs)
 }
 
@@ -115,10 +109,10 @@ func (s Stats) String() string {
 		s.Iterations, s.Edges, s.Levels, s.MaxLevelWidth, s.MeanLevelWidth, s.CacheHit)
 }
 
-// minCoeff is the floor kept under the calibrated BarrierNs/FlagCheckNs (and
-// under a back-solved ClaimNs): the decision layer requires positive
-// coefficients, and a coefficient driven to zero by a degenerate observation
-// could never recover through multiplicative blending.
+// minCoeff is the floor kept under the calibrated BarrierNs, FlagCheckNs and
+// ClaimNs: the decision layer requires positive coefficients, and a
+// coefficient driven to zero by a degenerate observation could never recover
+// through multiplicative blending.
 const minCoeff = 1e-3
 
 // usable reports whether v is finite and non-negative.
@@ -135,21 +129,14 @@ func sane(v, fallback float64) float64 {
 }
 
 // Sanitize clamps the coefficients into the tuner's invariant domain:
-// BarrierNs and FlagCheckNs positive (at least minCoeff), ClaimNs and IterNs
-// non-negative, everything finite. It is applied to every seed and every
-// blended update, so a PlanState never carries NaN, infinite or negative
+// BarrierNs, FlagCheckNs and ClaimNs at least minCoeff, IterNs non-negative,
+// everything finite. It is applied to every seed and every blended update, so
+// a PlanState never carries NaN, infinite, negative or zero overhead
 // coefficients whatever observations were fed in.
 func Sanitize(c Coeffs) Coeffs {
-	c.BarrierNs = sane(c.BarrierNs, minCoeff)
-	c.FlagCheckNs = sane(c.FlagCheckNs, minCoeff)
-	c.ClaimNs = sane(c.ClaimNs, 0)
+	floor := func(v float64) float64 { return math.Max(sane(v, minCoeff), minCoeff) }
+	c.BarrierNs, c.FlagCheckNs, c.ClaimNs = floor(c.BarrierNs), floor(c.FlagCheckNs), floor(c.ClaimNs)
 	c.IterNs = sane(c.IterNs, 0)
-	if c.BarrierNs < minCoeff {
-		c.BarrierNs = minCoeff
-	}
-	if c.FlagCheckNs < minCoeff {
-		c.FlagCheckNs = minCoeff
-	}
 	return c
 }
 
@@ -265,10 +252,9 @@ func (c Coeffs) Predict(st Stats, workers int) (tDoacross, tWavefront, tDynamic 
 // wavefront's L*BarrierNs stays fixed and is amortized across the block.
 // nrhs below 1 is treated as 1.
 //
-// tDynamic is zero — "not considered" — when ClaimNs is zero. With IterNs =
-// 0, balanced levels and the dynamic excluded, the comparison reduces to a
-// two-way overhead model whose choice, for a fixed shape, flips exactly
-// where the BarrierNs/FlagCheckNs ratio crosses
+// With IterNs = 0 and balanced levels, the doacross/static comparison is a
+// pure overhead model whose choice, for a fixed shape, flips exactly where
+// the BarrierNs/FlagCheckNs ratio crosses
 //
 //	(rounds_da*(r+3) - rounds_wf*r) / L
 func (c Coeffs) PredictN(st Stats, workers, nrhs int) (tDoacross, tWavefront, tDynamic float64) {
@@ -285,9 +271,7 @@ func (c Coeffs) PredictN(st Stats, workers, nrhs int) (tDoacross, tWavefront, tD
 	wfBase := t.wfRounds*perIter + t.levels*c.BarrierNs
 	readTermNs := c.FlagCheckNs + workNs/(t.r+1)
 	tWavefront = wfBase + t.imb*readTermNs
-	if c.ClaimNs > 0 {
-		tDynamic = wfBase + t.claims*c.ClaimNs
-	}
+	tDynamic = wfBase + t.claims*c.ClaimNs
 	return tDoacross, tWavefront, tDynamic
 }
 
@@ -296,25 +280,23 @@ func (c Coeffs) PredictN(st Stats, workers, nrhs int) (tDoacross, tWavefront, tD
 // right-hand-side block width, returned with the three PredictN estimates
 // behind it. A single barrier-free level (a doall, or an empty loop) always
 // pre-schedules statically — a dynamic run of one level would only add claim
-// traffic; otherwise the cheapest estimate wins (Best), with the dynamic
-// competing only when it is priced (non-zero ClaimNs).
+// traffic; otherwise the cheapest estimate wins (Best).
 func (c Coeffs) Choose(st Stats, workers, nrhs int) (pick int, tDoacross, tWavefront, tDynamic float64) {
 	tDoacross, tWavefront, tDynamic = c.PredictN(st, workers, nrhs)
 	pick = Wavefront
 	if st.Levels > 1 {
-		pick = Best([NumExecutors]float64{tDoacross, tWavefront, tDynamic}, tDynamic > 0)
+		pick = Best([NumExecutors]float64{tDoacross, tWavefront, tDynamic})
 	}
 	return pick, tDoacross, tWavefront, tDynamic
 }
 
-// Best returns the arm with the lowest time: the doacross and the static
-// wavefront always compete, the dynamic wavefront only when dynamic is set,
-// and ties go to the lower arm index. It is the one argmin behind Choose,
-// PlanState.Decide's greedy step and the simulator's ground-truth best arm.
-func Best(t [NumExecutors]float64, dynamic bool) int {
+// Best returns the arm with the lowest time, ties going to the lower arm
+// index. It is the one argmin behind Choose, PlanState.Decide's greedy step
+// and the experiments' ground-truth best arm.
+func Best(t [NumExecutors]float64) int {
 	pick := Doacross
 	for e := Wavefront; e < NumExecutors; e++ {
-		if (e != WavefrontDynamic || dynamic) && t[e] < t[pick] {
+		if t[e] < t[pick] {
 			pick = e
 		}
 	}

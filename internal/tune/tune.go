@@ -183,31 +183,27 @@ func NewPlanState(base Coeffs) PlanState {
 // — measured average where the arm has been observed, the tuned model's
 // prediction where it has not — or, with probability Epsilon, the
 // least-observed other arm (explored reports that case, so callers can mark
-// the run and tests can filter it). The dynamic arm participates only when a
-// claim coefficient is available or it has already been observed. rng may be
-// nil, which disables exploration like a negative Epsilon.
+// the run and tests can filter it). rng may be nil, which disables
+// exploration like a negative Epsilon.
 func (s *PlanState) Decide(st Stats, workers, nrhs int, o Options, rng *RNG) (pick int, explored bool) {
 	o = o.WithDefaults()
 	tda, twf, tdyn := s.Coeffs.PredictN(st, workers, nrhs)
 	score := [NumExecutors]float64{tda, twf, tdyn}
-	avail := [NumExecutors]bool{true, true, s.Coeffs.ClaimNs > 0 || s.Obs[WavefrontDynamic] > 0}
 	for e := 0; e < NumExecutors; e++ {
 		if s.Obs[e] > 0 {
 			score[e] = s.ObsNs[e]
 		}
 	}
-	pick = Best(score, avail[WavefrontDynamic])
+	pick = Best(score)
 	if o.Epsilon > 0 && rng != nil && rng.Float64() < o.Epsilon {
 		cand := -1
 		for e := 0; e < NumExecutors; e++ {
-			if e != pick && avail[e] && (cand < 0 || s.Obs[e] < s.Obs[cand]) {
+			if e != pick && (cand < 0 || s.Obs[e] < s.Obs[cand]) {
 				cand = e
 			}
 		}
-		if cand >= 0 {
-			s.Explorations++
-			return cand, true
-		}
+		s.Explorations++
+		return cand, true
 	}
 	return pick, false
 }
@@ -307,13 +303,8 @@ func (s *PlanState) calibrate(exec int, st Stats, workers, nrhs int) {
 			blendTo(&c.IterNs, iter)
 		} else {
 			blendTo(&c.IterNs, 0)
-			if t.claims > 0 && c.ClaimNs > 0 {
+			if t.claims > 0 {
 				blendTo(&c.ClaimNs, (obs-t.wfRounds*t.r*c.FlagCheckNs-t.levels*c.BarrierNs)/t.claims)
-				if c.ClaimNs < minCoeff {
-					// A claim coefficient exists for this plan; keep it
-					// positive so the dynamic arm stays comparable.
-					c.ClaimNs = minCoeff
-				}
 			}
 		}
 	}

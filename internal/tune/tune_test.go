@@ -45,23 +45,11 @@ func wideStats(n, levels, p int) Stats {
 
 func TestSanitizeFloorsAndFinite(t *testing.T) {
 	c := Sanitize(Coeffs{BarrierNs: math.NaN(), FlagCheckNs: -4, ClaimNs: math.Inf(1), IterNs: -1})
-	if c.BarrierNs < minCoeff || c.FlagCheckNs < minCoeff {
-		t.Fatalf("overhead coefficients below floor: %+v", c)
+	if c.BarrierNs != minCoeff || c.FlagCheckNs != minCoeff || c.ClaimNs != minCoeff {
+		t.Fatalf("overhead coefficients not floored: %+v", c)
 	}
-	if c.ClaimNs != 0 || c.IterNs != 0 {
-		t.Fatalf("claim/iter not reset to zero: %+v", c)
-	}
-}
-
-func TestPredictExcludesDynamicWithoutClaimCost(t *testing.T) {
-	st := wideStats(1024, 8, 4)
-	_, _, dyn := Coeffs{BarrierNs: 100, FlagCheckNs: 5}.PredictN(st, 4, 1)
-	if dyn != 0 {
-		t.Fatalf("dynamic considered without a claim coefficient: %g", dyn)
-	}
-	_, _, dyn = Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25}.PredictN(st, 4, 1)
-	if dyn <= 0 {
-		t.Fatalf("dynamic excluded despite a claim coefficient")
+	if c.IterNs != 0 {
+		t.Fatalf("iter not reset to zero: %+v", c)
 	}
 }
 
@@ -106,7 +94,7 @@ func TestObserveCapsOutlierSample(t *testing.T) {
 
 	// A zero first sample leaves no average to cap against: later samples
 	// are absorbed whole rather than pinned at zero.
-	z := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5})
+	z := NewPlanState(Coeffs{BarrierNs: 100, FlagCheckNs: 5, ClaimNs: 25})
 	z.Observe(Wavefront, st, 4, 1, 0)
 	z.Observe(Wavefront, st, 4, 1, 1000)
 	if got := z.ObsNs[Wavefront]; got != DefaultAlpha*1000 {
@@ -179,9 +167,9 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 // measured average replaces the model estimate in the comparison.
 func TestDecideGreedyPrefersMeasuredOverModel(t *testing.T) {
 	st := chainStats(256, 4)
-	// Model says wavefront is nearly free and doacross is terrible; no claim
-	// coefficient, so the two-way comparison isolates the measured flip.
-	s := NewPlanState(Coeffs{BarrierNs: minCoeff, FlagCheckNs: 5000})
+	// Model says wavefront is nearly free and doacross is terrible; claims
+	// priced at a millisecond keep the dynamic arm out of the measured flip.
+	s := NewPlanState(Coeffs{BarrierNs: minCoeff, FlagCheckNs: 5000, ClaimNs: 1e6})
 	pick, explored := s.Decide(st, 4, 1, Options{Epsilon: -1}, nil)
 	if pick != Wavefront || explored {
 		t.Fatalf("initial pick = %s (explored=%v), want wavefront", ExecutorName(pick), explored)
@@ -246,23 +234,9 @@ func TestDecideNeverExploresWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestDecideDynamicNeedsClaimCoefficient: without a claim cost and without
-// observations the dynamic arm is out of the comparison, even when the
-// wavefront base would make it attractive.
-func TestDecideDynamicNeedsClaimCoefficient(t *testing.T) {
-	st := wideStats(4096, 4, 4)
-	st.ReadImbalance = 1e6 // static wavefront looks terrible
-	s := NewPlanState(Coeffs{BarrierNs: 1e5, FlagCheckNs: 1e4})
-	for k := 0; k < 50; k++ {
-		pick, _ := s.Decide(st, 4, 1, Options{Epsilon: 0.5}, NewRNG(11))
-		if pick == WavefrontDynamic {
-			t.Fatalf("dynamic picked without a claim coefficient or observation")
-		}
-	}
-}
-
-// coeffsOK asserts the fuzz invariant: finite, positive overhead
-// coefficients, non-negative claim/iter, finite non-negative averages.
+// coeffsOK asserts the fuzz invariant: finite coefficients, the three
+// overhead coefficients at least minCoeff, a non-negative IterNs, finite
+// non-negative averages.
 func coeffsOK(t *testing.T, s *PlanState) {
 	t.Helper()
 	c := s.Coeffs
@@ -271,10 +245,10 @@ func coeffsOK(t *testing.T, s *PlanState) {
 			t.Fatalf("non-finite coefficient: %+v", c)
 		}
 	}
-	if c.BarrierNs < minCoeff || c.FlagCheckNs < minCoeff {
+	if c.BarrierNs < minCoeff || c.FlagCheckNs < minCoeff || c.ClaimNs < minCoeff {
 		t.Fatalf("overhead coefficient under floor: %+v", c)
 	}
-	if c.ClaimNs < 0 || c.IterNs < 0 {
+	if c.IterNs < 0 {
 		t.Fatalf("negative coefficient: %+v", c)
 	}
 	for e := 0; e < NumExecutors; e++ {
