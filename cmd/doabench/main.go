@@ -11,8 +11,8 @@
 //	doabench -experiment linear      # Ablation C: linear-subscript variant
 //	doabench -experiment ordering    # Ablation E: doconsider ordering strategies
 //	doabench -experiment sweep       # Ablation F: processor-count sweep (extension)
-//	doabench -experiment executors   # live executor sweep: doacross vs wavefront vs wavefront-dynamic
-//	doabench -experiment live        # live goroutine measurements on this host
+//	doabench -experiment executors   # live executor sweep: every executor, Auto included
+//	doabench -experiment live        # live goroutine measurements on this host (Figure 4 loop, Krylov reuse)
 //	doabench -experiment serving     # serving throughput: K concurrent callers through the coalescing SolveService
 //	doabench -experiment repair      # incremental plan repair vs cold re-inspection across edit-cone sizes
 //	doabench -experiment tuning      # online self-tuning Auto: mis-seeded recovery by measured feedback
@@ -26,10 +26,8 @@
 // Figure 6 iteration count and the SPE perturbation seed. The -check flag
 // verifies the paper's qualitative claims and exits non-zero when a claim is
 // violated. The -format flag renders the fig6/table1/sweep tables as text,
-// Markdown or CSV. The -executors flag restricts the executors experiment to
-// a comma-separated subset of doacross, wavefront, wavefront-dynamic, auto
-// (default all); unknown experiment or executor names are rejected with the
-// valid set spelled out.
+// Markdown or CSV. Unknown experiment names are rejected with the valid set
+// spelled out.
 package main
 
 import (
@@ -76,7 +74,6 @@ func run(args []string, stdout io.Writer) (violations int, err error) {
 		// clobber it; regenerating the baseline is an explicit -json.
 		jsonPath    = fs.String("json", "BENCH_results.new.json", "write machine-readable results of the live/executors experiments here (empty disables)")
 		liveWorkers = fs.String("workers", "", "comma-separated worker counts for the executors sweep (first entry also pins the serving solver; default: derived from GOMAXPROCS)")
-		executors   = fs.String("executors", "", "comma-separated executors for the executors sweep: doacross | wavefront | wavefront-dynamic | auto (default: all)")
 		callers     = fs.String("callers", "4,16", "comma-separated concurrent caller counts for the serving experiment")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -235,14 +232,8 @@ func run(args []string, stdout io.Writer) (violations int, err error) {
 				sweep = append(sweep, w)
 			}
 		}
-		var execNames []string
-		if *executors != "" {
-			for _, s := range strings.Split(*executors, ",") {
-				execNames = append(execNames, strings.TrimSpace(s))
-			}
-		}
 		rows, err := experiments.RunExecutorSweep(
-			[]stencil.Problem{stencil.SPE2, stencil.FivePoint, stencil.SevenPoint}, sweep, *liveReps, execNames...)
+			[]stencil.Problem{stencil.SPE2, stencil.FivePoint, stencil.SevenPoint}, sweep, *liveReps)
 		if err != nil {
 			return "", nil, err
 		}
@@ -275,15 +266,6 @@ func run(args []string, stdout io.Writer) (violations int, err error) {
 			return "", nil, err
 		}
 		results = append(results, scaling)
-		for _, prob := range []stencil.Problem{stencil.FivePoint, stencil.SevenPoint} {
-			for _, variant := range experiments.TrisolveVariants {
-				r, err := experiments.RunLiveTrisolve(prob, workers, *liveReps, variant)
-				if err != nil {
-					return "", nil, err
-				}
-				results = append(results, r)
-			}
-		}
 		// The motivating application: preconditioned CG with reusable
 		// doacross triangular solvers (persistent pool reuse end to end).
 		r, err := experiments.RunLiveKrylovReuse(workers, *liveReps)

@@ -32,15 +32,19 @@ func problemByName(name string) (stencil.Problem, error) {
 	return 0, fmt.Errorf("unknown problem %q (choose from SPE2, SPE5, 5-PT, 7-PT, 9-PT)", name)
 }
 
-// solverKinds lists the solvers the CLI runs, in output order; each one's
-// -solver name is its SolverKind.String.
-var solverKinds = []doacross.SolverKind{
-	doacross.SolverSequential,
-	doacross.SolverDoacross,
-	doacross.SolverReordered,
-	doacross.SolverLinear,
-	doacross.SolverWavefront,
-	doacross.SolverWavefrontDynamic,
+// solvers lists the solvers the CLI runs, in output order: each row's
+// -solver name, its SolverKind, and the executor it runs under.
+var solvers = []struct {
+	name string
+	kind doacross.SolverKind
+	exec doacross.ExecutorKind
+}{
+	{"sequential", doacross.SolverSequential, doacross.Doacross},
+	{"doacross", doacross.SolverDoacross, doacross.Doacross},
+	{"doacross-reordered", doacross.SolverReordered, doacross.Doacross},
+	{"doacross-linear", doacross.SolverLinear, doacross.Doacross},
+	{"doacross-wavefront", doacross.SolverDoacross, doacross.Wavefront},
+	{"doacross-wavefront-dynamic", doacross.SolverDoacross, doacross.WavefrontDynamic},
 }
 
 func main() {
@@ -56,8 +60,8 @@ func main() {
 // real whether or not the sequential row itself is printed.
 func run(args []string, stdout io.Writer) error {
 	var names []string
-	for _, kind := range solverKinds {
-		names = append(names, kind.String())
+	for _, sv := range solvers {
+		names = append(names, sv.name)
 	}
 	fs := flag.NewFlagSet("trisolve", flag.ExitOnError)
 	var (
@@ -102,16 +106,16 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "%-20s %12s %10s %10s  %s\n", "solver", "time", "speedup", "eff", "check")
-	for _, kind := range solverKinds {
-		name := kind.String()
-		if *solver != "all" && *solver != name {
+	for _, sv := range solvers {
+		if *solver != "all" && *solver != sv.name {
 			continue
 		}
+		svOpts := append(opts[:len(opts):len(opts)], doacross.WithExecutor(sv.exec))
 		var out []float64
 		var solveErr error
 		best := trace.Measure(*repeat, func() {
 			if solveErr == nil {
-				out, _, solveErr = doacross.SolveTriangular(kind, l, rhs, opts...)
+				out, _, solveErr = doacross.SolveTriangular(sv.kind, l, rhs, svOpts...)
 			}
 		}).Min()
 		if solveErr != nil {
@@ -122,11 +126,11 @@ func run(args []string, stdout io.Writer) error {
 			check = fmt.Sprintf("MISMATCH %.2e", d)
 		}
 		speedup, eff := 0.0, 0.0
-		if seqTime > 0 && kind != doacross.SolverSequential {
+		if seqTime > 0 && sv.kind != doacross.SolverSequential {
 			speedup = trace.Speedup(seqTime, best)
 			eff = trace.Efficiency(seqTime, best, *workers)
 		}
-		fmt.Fprintf(stdout, "%-20s %12v %10.2f %10.2f  %s\n", name, best, speedup, eff, check)
+		fmt.Fprintf(stdout, "%-20s %12v %10.2f %10.2f  %s\n", sv.name, best, speedup, eff, check)
 	}
 
 	if *showTrace {

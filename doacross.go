@@ -78,7 +78,9 @@ const (
 )
 
 // ExecutorKind selects the execution strategy: how run-time dependencies are
-// enforced during the executor phase.
+// enforced during the executor phase. The fixed executors are numbered from
+// zero (Doacross, Wavefront, WavefrontDynamic) and Auto comes after them, so
+// a fixed kind indexes per-executor arrays such as TuningPlan.Arms.
 type ExecutorKind = core.ExecutorKind
 
 // Execution strategies.
@@ -120,9 +122,10 @@ const (
 // cost of one level-barrier rendezvous, of one flag-table operation, of one
 // dynamic chunk claim, and an optional per-iteration work estimate. Zero
 // value means self-calibrate; see WithAutoCosts. Its PredictN method prices
-// the three executors for an InspectStats and Choose replays Auto's pick
-// offline; the model is documented once, on internal/tune's Coeffs, which
-// this type aliases.
+// the fixed executors for an InspectStats, returning an array indexed by
+// ExecutorKind, and Choose replays Auto's pick offline as that index plus
+// the same array; the model is documented once, on internal/tune's Coeffs,
+// which this type aliases.
 type AutoCosts = core.AutoCosts
 
 // TuningOptions configures the online self-tuning Auto selection; see
@@ -161,7 +164,8 @@ func WithEdits(iters ...int) EditSet { return EditSet{Iters: iters} }
 // dependency structure: level count, widths, critical path, the schedule,
 // stall and claim statistics the Auto cost model prices, and whether the
 // decomposition came from the runtime's schedule cache. It is the input of
-// AutoCosts.PredictN and AutoCosts.Choose.
+// AutoCosts.PredictN and AutoCosts.Choose, whose estimates are indexed by
+// the fixed ExecutorKinds (Doacross, Wavefront, WavefrontDynamic).
 type InspectStats = core.InspectStats
 
 // WaitStrategy selects how executors wait on unsatisfied true dependencies.
@@ -256,12 +260,11 @@ func WithWaitStrategy(s WaitStrategy) Option {
 // build a fresh Loop when the pattern does.
 func WithExecutor(k ExecutorKind) Option {
 	return func(c *config) {
-		switch k {
-		case Doacross, Wavefront, WavefrontDynamic, Auto:
-			c.opts.Executor = k
-		default:
+		if k < Doacross || k > Auto {
 			c.fail(fmt.Errorf("doacross: unknown executor kind %d", int(k)))
+			return
 		}
+		c.opts.Executor = k
 	}
 }
 

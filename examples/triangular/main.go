@@ -49,12 +49,21 @@ func main() {
 	seqSample := trace.Measure(5, func() { doacross.SolveSequential(l, rhs) })
 	fmt.Printf("%-22s %12v\n", "sequential", seqSample.Min())
 
-	kinds := []doacross.SolverKind{doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverWavefront}
-	for _, kind := range kinds {
+	solvers := []struct {
+		name string
+		kind doacross.SolverKind
+		exec doacross.ExecutorKind
+	}{
+		{"doacross", doacross.SolverDoacross, doacross.Doacross},
+		{"doacross-reordered", doacross.SolverReordered, doacross.Doacross},
+		{"doacross-wavefront", doacross.SolverDoacross, doacross.Wavefront},
+	}
+	for _, sv := range solvers {
+		svOpts := append(opts[:len(opts):len(opts)], doacross.WithExecutor(sv.exec))
 		var out []float64
 		sample := trace.Measure(5, func() {
 			var solveErr error
-			out, _, solveErr = doacross.SolveTriangular(kind, l, rhs, opts...)
+			out, _, solveErr = doacross.SolveTriangular(sv.kind, l, rhs, svOpts...)
 			if solveErr != nil {
 				panic(solveErr)
 			}
@@ -64,7 +73,7 @@ func main() {
 			status = fmt.Sprintf("MISMATCH %.2e", d)
 		}
 		fmt.Printf("%-22s %12v  speedup %.2f  (%s)\n",
-			kind, sample.Min(), trace.Speedup(seqSample.Min(), sample.Min()), status)
+			sv.name, sample.Min(), trace.Speedup(seqSample.Min(), sample.Min()), status)
 	}
 
 	// The paper-scale picture (simulated 16 processors): the plain doacross

@@ -46,16 +46,6 @@ func TestWavefrontSolvesPaperSystems(t *testing.T) {
 					t.Fatalf("%v lower=%v: element %d differs: %v vs %v", prob, tri.Lower, i, want[i], got[i])
 				}
 			}
-			// The SolverWavefront kind is the same executor by name.
-			got2, _, err := doacross.SolveTriangular(doacross.SolverWavefront, tri, rhs, doacross.WithWorkers(4))
-			if err != nil {
-				t.Fatalf("%v SolverWavefront: %v", prob, err)
-			}
-			for i := range want {
-				if want[i] != got2[i] {
-					t.Fatalf("%v SolverWavefront: element %d differs", prob, i)
-				}
-			}
 		}
 	}
 }
@@ -210,8 +200,8 @@ func TestAutoFlipsAtBreakEven(t *testing.T) {
 	lo, hi := 1e-3, 1e6
 	for range 200 {
 		mid := (lo + hi) / 2
-		tda, twf, _ := doacross.AutoCosts{BarrierNs: mid * flagNs, FlagCheckNs: flagNs, ClaimNs: claimNs}.Predict(st, workers)
-		if twf < tda {
+		times := doacross.AutoCosts{BarrierNs: mid * flagNs, FlagCheckNs: flagNs, ClaimNs: claimNs}.PredictN(st, workers, 1)
+		if times[doacross.Wavefront] < times[doacross.Doacross] {
 			lo = mid
 		} else {
 			hi = mid
@@ -255,7 +245,8 @@ func TestDynamicWavefrontSolvesPaperSystems(t *testing.T) {
 		rhs := stencil.RHS(l.N, 7)
 		for _, tri := range []*doacross.Triangular{l, u} {
 			want := doacross.SolveSequential(tri, rhs)
-			got, rep, err := doacross.SolveTriangular(doacross.SolverWavefrontDynamic, tri, rhs, doacross.WithWorkers(4))
+			got, rep, err := doacross.SolveTriangular(doacross.SolverDoacross, tri, rhs,
+				doacross.WithWorkers(4), doacross.WithExecutor(doacross.WavefrontDynamic))
 			if err != nil {
 				t.Fatalf("%v lower=%v: %v", prob, tri.Lower, err)
 			}
@@ -359,7 +350,8 @@ func TestAutoFlipsToDynamicAtBreakEven(t *testing.T) {
 	// and confirm the barriers are cheap enough that the flip happens inside
 	// the wavefront family (the doacross never wins here).
 	predict := func(claimNs float64) (tda, twf, tdyn float64) {
-		return doacross.AutoCosts{BarrierNs: barrierNs, FlagCheckNs: flagNs, ClaimNs: claimNs}.Predict(st, workers)
+		t := doacross.AutoCosts{BarrierNs: barrierNs, FlagCheckNs: flagNs, ClaimNs: claimNs}.PredictN(st, workers, 1)
+		return t[doacross.Doacross], t[doacross.Wavefront], t[doacross.WavefrontDynamic]
 	}
 	lo, hi := 1e-4, 1e6
 	for range 200 {

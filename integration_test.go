@@ -47,15 +47,21 @@ func TestIntegrationAllProblemsAllSolvers(t *testing.T) {
 			}
 			rhs := stencil.RHS(l.N, 99)
 			want := doacross.SolveSequential(l, rhs)
-			for _, kind := range []doacross.SolverKind{
-				doacross.SolverDoacross, doacross.SolverReordered, doacross.SolverLinear, doacross.SolverWavefront,
+			for _, sv := range []struct {
+				kind doacross.SolverKind
+				exec doacross.ExecutorKind
+			}{
+				{doacross.SolverDoacross, doacross.Doacross},
+				{doacross.SolverReordered, doacross.Doacross},
+				{doacross.SolverLinear, doacross.Doacross},
+				{doacross.SolverDoacross, doacross.Wavefront},
 			} {
-				got, _, err := doacross.SolveTriangular(kind, l, rhs, solverOptions(4)...)
+				got, _, err := doacross.SolveTriangular(sv.kind, l, rhs, append(solverOptions(4), doacross.WithExecutor(sv.exec))...)
 				if err != nil {
-					t.Fatalf("%v: %v", kind, err)
+					t.Fatalf("%v under %v: %v", sv.kind, sv.exec, err)
 				}
 				if d := sparse.VecMaxDiff(got, want); d > 1e-10 {
-					t.Fatalf("%v: differs from sequential by %v", kind, d)
+					t.Fatalf("%v under %v: differs from sequential by %v", sv.kind, sv.exec, d)
 				}
 			}
 			// Backward substitution on the upper factor.

@@ -18,18 +18,6 @@ import (
 // dynamic chunk claim on its live pool, once per Runtime.
 type AutoCosts = tune.Coeffs
 
-// kindOfTuneExec maps a tune arm index to the runtime's ExecutorKind.
-func kindOfTuneExec(e int) ExecutorKind {
-	switch e {
-	case tune.Wavefront:
-		return ExecWavefront
-	case tune.WavefrontDynamic:
-		return ExecWavefrontDynamic
-	default:
-		return ExecDoacross
-	}
-}
-
 // autoCostsFor returns the coefficients the Auto selection uses: the ones
 // configured through Options.AutoCosts when set, otherwise the probe's
 // measurements, taken once per Runtime and memoized.
@@ -64,11 +52,11 @@ var probeSink atomic.Int64
 // barrier on the runtime's live pool at its configured worker count (all
 // workers spinning back-to-back through probeBarriers rendezvous, exactly
 // the wavefront executor's steady state), one flag-table operation (averaged
-// over the record/classify/set/check/reset/clear cycle the doacross performs
-// per element, on tables of the doacross's own types), and one dynamic chunk
-// claim (all workers draining a shared counter at chunk size 1 — the fully
-// contended fetch-add the dynamic wavefront's claim loop degrades to inside
-// a narrow level).
+// over the Record, Writer, Set, IsDone, Reset and Clear cycle the doacross
+// performs per element, on tables of the doacross's own types), and one
+// dynamic chunk claim (all workers draining a shared counter at chunk size
+// 1 — the fully contended fetch-add the dynamic wavefront's claim loop
+// degrades to inside a narrow level).
 func measureAutoCosts(rt *Runtime) AutoCosts {
 	k := rt.opts.Workers
 	if k < 1 {
@@ -90,8 +78,7 @@ func measureAutoCosts(rt *Runtime) AutoCosts {
 	for rep := 0; rep < probeFlagReps; rep++ {
 		for e := 0; e < probeFlagElems; e++ {
 			tab.Record(e, e)
-			dep, w := tab.Classify(e, e+1)
-			sink += int64(dep) + w
+			sink += tab.Writer(e)
 			ready.Set(e)
 			if ready.IsDone(e) {
 				sink++

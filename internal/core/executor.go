@@ -15,7 +15,9 @@ import (
 // run-time dependencies are enforced during the executor phase. It is the
 // paper's central comparison made pluggable — the busy-wait doacross of
 // Section 2 against the pre-scheduled wavefront (level-set) execution its
-// inspector enables.
+// inspector enables. The fixed executors are numbered by the cost model's
+// arm index (tune.Doacross, ...), so a kind indexes every per-executor
+// array; ExecAuto comes after them.
 type ExecutorKind int
 
 const (
@@ -24,7 +26,7 @@ const (
 	// iteration waits on that element's ready flag. It pipelines across
 	// wavefronts (an iteration may start as soon as its own inputs are ready)
 	// at the cost of per-read flag checks and busy waits.
-	ExecDoacross ExecutorKind = iota
+	ExecDoacross ExecutorKind = tune.Doacross
 	// ExecWavefront pre-schedules execution: the inspector builds the true
 	// dependency graph, decomposes it into wavefront levels, and each level
 	// runs as a barrier-separated doall over a level-sorted static schedule.
@@ -36,16 +38,7 @@ const (
 	// covers every element the body may Load — the level placement is
 	// derived from it, so an under-declared read silently breaks the
 	// pre-scheduled execution (see the Loop.Reads contract).
-	ExecWavefront
-	// ExecAuto inspects the loop once (through the same cache ExecWavefront
-	// uses) and picks the strategy with a calibrated cost model: the
-	// inspection statistics (edges, levels, schedule rounds, within-level
-	// read imbalance, claim counts) are combined with measured barrier,
-	// flag-check and chunk-claim costs (AutoCosts — supplied through
-	// Options.AutoCosts or self-calibrated once per Runtime) to estimate all
-	// three executors' times, and the cheapest one runs. Loops without
-	// Reads, or with an explicit Options.Order, fall back to the doacross.
-	ExecAuto
+	ExecWavefront ExecutorKind = tune.Wavefront
 	// ExecWavefrontDynamic is the wavefront execution with dynamic
 	// within-level assignment: the same cached decomposition as
 	// ExecWavefront, but inside each level the workers self-schedule chunks
@@ -55,23 +48,24 @@ const (
 	// an otherwise cheap wavefront) no longer parks every other worker at
 	// the barrier behind the unlucky static assignment. Same structural
 	// requirements as ExecWavefront (Loop.Reads, natural order).
-	ExecWavefrontDynamic
+	ExecWavefrontDynamic ExecutorKind = tune.WavefrontDynamic
+	// ExecAuto inspects the loop once (through the same cache ExecWavefront
+	// uses) and picks the strategy with a calibrated cost model: the
+	// inspection statistics (edges, levels, schedule rounds, within-level
+	// read imbalance, claim counts) are combined with measured barrier,
+	// flag-check and chunk-claim costs (AutoCosts — supplied through
+	// Options.AutoCosts or self-calibrated once per Runtime) to estimate all
+	// three executors' times, and the cheapest one runs. Loops without
+	// Reads, or with an explicit Options.Order, fall back to the doacross.
+	ExecAuto ExecutorKind = tune.NumExecutors
 )
 
 // String returns the executor's name as used in reports.
 func (k ExecutorKind) String() string {
-	switch k {
-	case ExecDoacross:
-		return "doacross"
-	case ExecWavefront:
-		return "wavefront"
-	case ExecAuto:
+	if k == ExecAuto {
 		return "auto"
-	case ExecWavefrontDynamic:
-		return "wavefront-dynamic"
-	default:
-		return "unknown"
 	}
+	return tune.ExecutorName(int(k))
 }
 
 // executor is the pluggable execution-strategy layer of the runtime. An
@@ -127,7 +121,7 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 		if err != nil {
 			return nil, err
 		}
-		var pick ExecutorKind
+		var pick int
 		if rt.tuningActive() && plan.stats.Levels > 1 {
 			// The tuned path: the plan's bandit decides from measured
 			// moving averages where it has them and the tuned model where
@@ -136,29 +130,28 @@ func (rt *Runtime) executorFor(l *Loop, rep *Report, nrhs int) (executor, error)
 			// is no decision to learn.
 			base := rt.tunerBase()
 			ps := rt.tuner.planState(plan.fp, base)
-			arm, explored := ps.Decide(plan.stats, rt.opts.Workers, nrhs, rt.tuner.opts, rt.tuner.rng)
-			pick = kindOfTuneExec(arm)
-			rt.tuneObs = pendingObservation{ps: ps, stats: plan.stats, exec: arm, nrhs: nrhs, explored: explored}
+			var explored bool
+			pick, explored = ps.Decide(plan.stats, rt.opts.Workers, nrhs, rt.tuner.opts, rt.tuner.rng)
+			rt.tuneObs = pendingObservation{ps: ps, stats: plan.stats, exec: pick, nrhs: nrhs, explored: explored}
 			if rep != nil {
 				rep.AutoCosts = base
 				rep.TunedCosts = ps.Coeffs
 				rep.Explored = explored
-				rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs =
-					ps.Coeffs.PredictN(plan.stats, rt.opts.Workers, nrhs)
+				rep.setPredicted(ps.Coeffs.PredictN(plan.stats, rt.opts.Workers, nrhs))
 			}
 		} else {
 			costs := rt.autoCostsFor()
-			arm, tda, twf, tdyn := costs.Choose(plan.stats, rt.opts.Workers, nrhs)
-			pick = kindOfTuneExec(arm)
+			var times [tune.NumExecutors]float64
+			pick, times = costs.Choose(plan.stats, rt.opts.Workers, nrhs)
 			if rep != nil {
 				rep.AutoCosts = costs
-				rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs = tda, twf, tdyn
+				rep.setPredicted(times)
 			}
 		}
-		if pick == ExecDoacross {
+		if ExecutorKind(pick) == ExecDoacross {
 			return doacrossExecutor{rt}, nil
 		}
-		return rt.wavefront(pick, plan, cached), nil
+		return rt.wavefront(ExecutorKind(pick), plan, cached), nil
 	default:
 		return nil, fmt.Errorf("core: unknown executor kind %d", int(rt.opts.Executor))
 	}

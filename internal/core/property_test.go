@@ -287,7 +287,7 @@ func randomDAGLoop(rng *rand.Rand, n int) (*Loop, []float64) {
 }
 
 // TestPropertyExecutorsEquivalentToSequential runs random-DAG loops through
-// every executor kind (doacross, wavefront, auto, wavefront-dynamic) and
+// every executor kind (the three fixed executors and auto) and
 // asserts bitwise equality with the sequential loop across worker counts,
 // policies and table implementations — the acceptance property of the
 // pluggable executor layer.
@@ -303,7 +303,7 @@ func TestPropertyExecutorsEquivalentToSequential(t *testing.T) {
 		seq := append([]float64(nil), y...)
 		mustRunSequential(t, l, seq)
 
-		exec := ExecutorKind(int(execBits) % 4)
+		exec := ExecutorKind(int(execBits) % int(ExecAuto+1))
 		opts := Options{
 			Workers:        int(workerBits)%7 + 1,
 			Policy:         sched.Policy(int(policyBits) % 3),
@@ -953,7 +953,7 @@ func TestPropertyOfflinePickIsLivePick(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pick, tda, twf, tdyn := costs.Choose(st, workers, nrhs)
+				pick, times := costs.Choose(st, workers, nrhs)
 				var rep Report
 				if nrhs == 1 {
 					rep, err = rt.Run(l, append([]float64(nil), y...))
@@ -965,10 +965,11 @@ func TestPropertyOfflinePickIsLivePick(t *testing.T) {
 					t.Fatal(err)
 				}
 				if rep.Executor != tune.ExecutorName(pick) ||
-					rep.PredictedDoacrossNs != tda || rep.PredictedWavefrontNs != twf || rep.PredictedDynamicNs != tdyn {
-					t.Fatalf("trial %d, %d workers, %d rhs, costs %+v: live run reported %s (%v, %v, %v), offline Choose %s (%v, %v, %v)",
+					rep.PredictedDoacrossNs != times[tune.Doacross] || rep.PredictedWavefrontNs != times[tune.Wavefront] ||
+					rep.PredictedDynamicNs != times[tune.WavefrontDynamic] {
+					t.Fatalf("trial %d, %d workers, %d rhs, costs %+v: live run reported %s (%v, %v, %v), offline Choose %s %v",
 						trial, workers, nrhs, costs, rep.Executor, rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs,
-						tune.ExecutorName(pick), tda, twf, tdyn)
+						tune.ExecutorName(pick), times)
 				}
 				seen[pick]++
 			}

@@ -99,11 +99,18 @@ func (rt *Runtime) observeTuning(rep *Report) {
 		rt.tuner.explorations++
 	}
 	rep.TunedCosts = ob.ps.Coeffs
-	rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs =
-		rep.TunedCosts.PredictN(ob.stats, rt.opts.Workers, ob.nrhs)
+	rep.setPredicted(rep.TunedCosts.PredictN(ob.stats, rt.opts.Workers, ob.nrhs))
 	if ts, ok := rt.opts.Metrics.(TuningSink); ok {
 		ts.RecordTuning(ob.explored)
 	}
+}
+
+// setPredicted stamps the cost model's estimates, indexed by arm, into the
+// report's Predicted*Ns fields.
+func (r *Report) setPredicted(times [tune.NumExecutors]float64) {
+	r.PredictedDoacrossNs = times[tune.Doacross]
+	r.PredictedWavefrontNs = times[tune.Wavefront]
+	r.PredictedDynamicNs = times[tune.WavefrontDynamic]
 }
 
 // TuningArm is one executor's slice of a plan's tuner state: how many
@@ -126,10 +133,8 @@ type TuningPlan struct {
 	Explorations uint64
 	// Costs are the plan's tuned coefficients.
 	Costs AutoCosts
-	// Doacross, Wavefront and WavefrontDynamic are the three bandit arms.
-	Doacross         TuningArm
-	Wavefront        TuningArm
-	WavefrontDynamic TuningArm
+	// Arms are the bandit arms, indexed by ExecutorKind.
+	Arms [tune.NumExecutors]TuningArm
 }
 
 // TuningSnapshot is a point-in-time copy of a runtime's online-tuning state:
@@ -159,15 +164,11 @@ func (rt *Runtime) TuningSnapshot() TuningSnapshot {
 	if len(tn.plans) > 0 {
 		s.Plans = make([]TuningPlan, 0, len(tn.plans))
 		for fp, ps := range tn.plans {
-			s.Plans = append(s.Plans, TuningPlan{
-				Fingerprint:      fp,
-				Runs:             ps.Runs,
-				Explorations:     ps.Explorations,
-				Costs:            ps.Coeffs,
-				Doacross:         TuningArm{ps.Obs[tune.Doacross], ps.ObsNs[tune.Doacross]},
-				Wavefront:        TuningArm{ps.Obs[tune.Wavefront], ps.ObsNs[tune.Wavefront]},
-				WavefrontDynamic: TuningArm{ps.Obs[tune.WavefrontDynamic], ps.ObsNs[tune.WavefrontDynamic]},
-			})
+			p := TuningPlan{Fingerprint: fp, Runs: ps.Runs, Explorations: ps.Explorations, Costs: ps.Coeffs}
+			for e := range p.Arms {
+				p.Arms[e] = TuningArm{ps.Obs[e], ps.ObsNs[e]}
+			}
+			s.Plans = append(s.Plans, p)
 		}
 		sort.Slice(s.Plans, func(i, j int) bool { return s.Plans[i].Fingerprint < s.Plans[j].Fingerprint })
 	}

@@ -4,7 +4,26 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"doacross/internal/tune"
 )
+
+// TestExecutorKindsAreTuneArms pins the one executor enumeration: every fixed
+// ExecutorKind is the cost model's arm of the same number and name, and
+// ExecAuto comes right after the arms.
+func TestExecutorKindsAreTuneArms(t *testing.T) {
+	if ExecAuto != tune.NumExecutors {
+		t.Fatalf("ExecAuto = %d, want tune.NumExecutors = %d", ExecAuto, tune.NumExecutors)
+	}
+	for e := range tune.NumExecutors {
+		if got, want := ExecutorKind(e).String(), tune.ExecutorName(e); got != want || got == "unknown" {
+			t.Errorf("ExecutorKind(%d) = %q, tune arm %d = %q", e, got, e, want)
+		}
+	}
+	if ExecAuto.String() != "auto" || ExecutorKind(-1).String() != "unknown" || (ExecAuto+1).String() != "unknown" {
+		t.Errorf("names outside the arms: auto %q, -1 %q, auto+1 %q", ExecAuto, ExecutorKind(-1), ExecAuto+1)
+	}
+}
 
 // tunedChainOptions returns Auto options with online tuning enabled and
 // deterministic seed coefficients (no self-calibration probe, no timing
@@ -62,7 +81,11 @@ func TestTuningObservationCounts(t *testing.T) {
 	if p.Runs != runs {
 		t.Errorf("plan observed %d runs, want %d", p.Runs, runs)
 	}
-	if got := p.Doacross.Observations + p.Wavefront.Observations + p.WavefrontDynamic.Observations; got != runs {
+	var got uint64
+	for _, a := range p.Arms {
+		got += a.Observations
+	}
+	if got != runs {
 		t.Errorf("per-arm observations sum to %d, want %d", got, runs)
 	}
 	ms := c.Snapshot()

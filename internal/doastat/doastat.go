@@ -276,12 +276,12 @@ func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs t
 		fmt.Fprintln(w, "  the loop is fully independent: a doall would suffice")
 	}
 
-	pick, tda, twf, tdyn := costs.Choose(st, workers, nrhs)
+	pick, times := costs.Choose(st, workers, nrhs)
 	fmt.Fprintf(w, "\nCost model (%d workers, %d rhs; barrier=%.0f flagCheck=%.0f claim=%.0f iter=%.0f ns):\n",
 		workers, nrhs, costs.BarrierNs, costs.FlagCheckNs, costs.ClaimNs, costs.IterNs)
-	fmt.Fprintf(w, "  doacross          %12.0f ns\n", tda)
-	fmt.Fprintf(w, "  wavefront         %12.0f ns\n", twf)
-	fmt.Fprintf(w, "  wavefront-dynamic %12.0f ns\n", tdyn)
+	for e, t := range times {
+		fmt.Fprintf(w, "  %-17s %12.0f ns\n", tune.ExecutorName(e), t)
+	}
 	fmt.Fprintf(w, "  auto picks        %s\n", tune.ExecutorName(pick))
 
 	// The tuning forecast replays the runtime's online self-tuning state
@@ -293,7 +293,7 @@ func report(w io.Writer, title string, st tune.Stats, g *depgraph.Graph, costs t
 	// toward the wrong executor. The section shows how many measured runs the
 	// feedback needs to settle on the truly fastest executor and how far the
 	// calibrated coefficients travel.
-	truth := machine.TuningTruth{tda, twf, tdyn}
+	truth := machine.TuningTruth(times)
 	start := tune.Coeffs{
 		BarrierNs:   costs.BarrierNs / 10,
 		FlagCheckNs: 10 * costs.FlagCheckNs,

@@ -141,6 +141,9 @@ func TestLiveTestLoopMeasurement(t *testing.T) {
 	if res.String() == "" {
 		t.Error("empty live result string")
 	}
+	if out := FormatLive([]LiveResult{res}); !strings.Contains(out, "Live (goroutine)") {
+		t.Error("FormatLive missing title")
+	}
 	if _, err := RunLiveTestLoop(testloop.Config{N: 0, M: 1, L: 1}, 2, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
@@ -181,25 +184,6 @@ func TestCheckLiveClaims(t *testing.T) {
 	}
 	if p := CheckLive([]LiveResult{slow}, slow); len(p) != want {
 		t.Errorf("speedup 1.1 on %d hardware threads: %v, want %d violations", DefaultLiveWorkers(), p, want)
-	}
-}
-
-func TestLiveTrisolveMeasurement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live measurement skipped in -short mode")
-	}
-	for _, variant := range TrisolveVariants {
-		res, err := RunLiveTrisolve(stencil.FivePoint, 2, 1, variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Checks != "results match" {
-			t.Fatalf("%v: live solve produced wrong results: %s", variant, res.Checks)
-		}
-	}
-	out := FormatLive([]LiveResult{{Name: "x", Workers: 1}})
-	if !strings.Contains(out, "Live (goroutine)") {
-		t.Error("FormatLive missing title")
 	}
 }
 

@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
+
+	"doacross/internal/tune"
 )
 
 // BenchRecord is one machine-readable performance measurement, the unit of
@@ -24,14 +25,15 @@ type BenchRecord struct {
 	Speedup    float64 `json:"speedup,omitempty"`
 	Efficiency float64 `json:"efficiency,omitempty"`
 	// WaitPolls is the aggregate busy-wait poll count of the measured run
-	// (zero for the wavefront executor by construction).
+	// (zero for the wavefront executors by construction).
 	WaitPolls int64 `json:"wait_polls"`
-	// Executor names the execution strategy, when the workload ran through
-	// the preprocessed runtime.
+	// Executor names the execution strategy the record measured: the
+	// executor sweep's arm, the repair rows' wavefront, the tuning rows'
+	// final pick.
 	Executor string `json:"executor,omitempty"`
-	// Levels and the inspect times are wavefront-specific: the level count
-	// and the cold (first solve) vs warm (schedule-cache hit) preprocessing
-	// cost.
+	// Levels is the executed level count (zero for the doacross); the
+	// inspect times are the cold (first solve) vs warm (a schedule-cache
+	// hit for the wavefronts) preprocessing cost.
 	Levels        int     `json:"levels,omitempty"`
 	ColdInspectNs float64 `json:"cold_inspect_ns,omitempty"`
 	WarmInspectNs float64 `json:"warm_inspect_ns,omitempty"`
@@ -82,75 +84,30 @@ func LiveBenchRecords(results []LiveResult) []BenchRecord {
 			SeqNsPerOp: float64(r.TSeq.Nanoseconds()),
 			Speedup:    r.Speedup,
 			Efficiency: r.Efficiency,
-			WaitPolls:  r.WaitPolls,
-			Executor:   r.Executor,
 		})
 	}
 	return records
 }
 
 // ExecutorBenchRecords converts an executor sweep into bench records, one
-// per measured strategy per configuration (strategies excluded from the
-// sweep emit no record).
+// per fixed executor per configuration; each carries the row's Auto pick and
+// the coefficients its self-calibration probe measured.
 func ExecutorBenchRecords(rows []ExecutorSweepRow) []BenchRecord {
-	records := make([]BenchRecord, 0, 3*len(rows))
+	records := make([]BenchRecord, 0, tune.NumExecutors*len(rows))
 	for _, r := range rows {
-		if r.TDoacross > 0 {
-			records = append(records, BenchRecord{
-				Experiment: "executors",
-				Name:       fmt.Sprintf("trisolve %s", r.Problem),
-				Workers:    r.Workers,
-				NsPerOp:    float64(r.TDoacross.Nanoseconds()),
-				SeqNsPerOp: float64(r.TSeq.Nanoseconds()),
-				Speedup:    r.DoacrossSpeedup,
-				WaitPolls:  r.DoacrossWaits,
-				Executor:   "doacross",
-			})
-		}
-		if r.TWavefront > 0 {
+		for k, e := range r.Exec[:tune.NumExecutors] {
 			records = append(records, BenchRecord{
 				Experiment:    "executors",
-				Name:          fmt.Sprintf("trisolve %s", r.Problem),
+				Name:          "trisolve " + r.Problem,
 				Workers:       r.Workers,
-				NsPerOp:       float64(r.TWavefront.Nanoseconds()),
+				NsPerOp:       float64(e.T.Nanoseconds()),
 				SeqNsPerOp:    float64(r.TSeq.Nanoseconds()),
-				Speedup:       r.WavefrontSpeedup,
-				Executor:      "wavefront",
-				Levels:        r.Levels,
-				ColdInspectNs: float64(r.ColdInspect.Nanoseconds()),
-				WarmInspectNs: float64(r.WarmInspect.Nanoseconds()),
-				AutoPicked:    r.AutoPicked,
-				AutoBarrierNs: r.AutoCosts.BarrierNs,
-				AutoFlagNs:    r.AutoCosts.FlagCheckNs,
-			})
-		}
-		if r.TDynamic > 0 {
-			records = append(records, BenchRecord{
-				Experiment:  "executors",
-				Name:        fmt.Sprintf("trisolve %s", r.Problem),
-				Workers:     r.Workers,
-				NsPerOp:     float64(r.TDynamic.Nanoseconds()),
-				SeqNsPerOp:  float64(r.TSeq.Nanoseconds()),
-				Speedup:     r.DynamicSpeedup,
-				Executor:    "wavefront-dynamic",
-				Levels:      r.Levels,
-				AutoPicked:  r.AutoPicked,
-				AutoClaimNs: r.AutoCosts.ClaimNs,
-			})
-		}
-		if r.TAuto > 0 && r.TWavefront == 0 && r.TDynamic == 0 {
-			// With both wavefront executors excluded, no other record carries
-			// the auto pick and its calibrated coefficients; emit a dedicated
-			// one so a filtered sweep still leaves a trace of the decision.
-			records = append(records, BenchRecord{
-				Experiment:    "executors",
-				Name:          fmt.Sprintf("trisolve %s", r.Problem),
-				Workers:       r.Workers,
-				NsPerOp:       float64(r.TAuto.Nanoseconds()),
-				SeqNsPerOp:    float64(r.TSeq.Nanoseconds()),
-				Speedup:       r.AutoSpeedup,
-				Executor:      "auto",
-				Levels:        r.Levels,
+				Speedup:       e.Speedup,
+				WaitPolls:     e.Waits,
+				Executor:      tune.ExecutorName(k),
+				Levels:        e.Levels,
+				ColdInspectNs: float64(e.ColdInspect.Nanoseconds()),
+				WarmInspectNs: float64(e.WarmInspect.Nanoseconds()),
 				AutoPicked:    r.AutoPicked,
 				AutoBarrierNs: r.AutoCosts.BarrierNs,
 				AutoFlagNs:    r.AutoCosts.FlagCheckNs,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"doacross/internal/machine"
 	"doacross/internal/sched"
@@ -143,37 +142,6 @@ func RunFigure6(cfg Figure6Config) (Figure6Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Format renders the sweep as the table behind the paper's Figure 6 plot:
-// one row per L, one efficiency column per M.
-func (r Figure6Result) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 6: efficiency of the preprocessed doacross test loop (N=%d, P=%d)\n",
-		r.Config.N, r.Config.Processors)
-	fmt.Fprintf(&b, "%4s", "L")
-	for _, m := range r.Config.Ms {
-		fmt.Fprintf(&b, "  %10s  %10s  %10s  %8s", fmt.Sprintf("eff(M=%d)", m), fmt.Sprintf("effWf(M=%d)", m), fmt.Sprintf("effDyn(M=%d)", m), "auto")
-	}
-	fmt.Fprintf(&b, "  %s\n", "dependencies")
-	for _, l := range r.Config.Ls {
-		fmt.Fprintf(&b, "%4d", l)
-		note := "none (odd L)"
-		for _, m := range r.Config.Ms {
-			for _, p := range r.Points {
-				if p.M == m && p.L == l {
-					fmt.Fprintf(&b, "  %10.3f  %10.3f  %10.3f  %8s", p.Efficiency, p.WavefrontEfficiency, p.DynamicEfficiency, p.AutoPick)
-					if p.HasDependencies {
-						note = fmt.Sprintf("true deps, min distance %d", p.MinDepDistance)
-					} else if l%2 == 0 {
-						note = "self/anti only"
-					}
-				}
-			}
-		}
-		fmt.Fprintf(&b, "  %s\n", note)
-	}
-	return b.String()
 }
 
 // CheckShape verifies the qualitative claims the paper makes about Figure 6

@@ -91,14 +91,14 @@ func TestFigure6FormatContainsAllRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Format()
+	out := res.AsTable().Text()
 	for _, want := range []string{"Figure 6", "eff(M=1)", "eff(M=5)", "none (odd L)", "true deps"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Format() missing %q:\n%s", want, out)
+			t.Errorf("text table missing %q:\n%s", want, out)
 		}
 	}
 	if got := strings.Count(out, "\n"); got < 6 {
-		t.Errorf("Format() has too few lines: %d", got)
+		t.Errorf("text table has too few lines: %d", got)
 	}
 }
 

@@ -28,12 +28,6 @@ type LiveResult struct {
 	Speedup    float64
 	Efficiency float64
 	Checks     string // result-correctness note
-	// Executor names the execution strategy of the parallel run ("doacross",
-	// "wavefront"), and WaitPolls its aggregate busy-wait polls, both taken
-	// from the last run's report (empty/zero for workloads that bypass the
-	// preprocessed runtime).
-	Executor  string
-	WaitPolls int64
 }
 
 // String renders the measurement.
@@ -147,114 +141,8 @@ func CheckLive(results []LiveResult, scaling LiveResult) []string {
 	return problems
 }
 
-// TrisolveVariant selects which triangular-solve configuration a live
-// measurement runs; together the variants sweep both execution strategies
-// (and the reordering) over the paper's test problems.
-type TrisolveVariant int
-
-const (
-	// TrisolvePlain is the natural-order busy-wait doacross.
-	TrisolvePlain TrisolveVariant = iota
-	// TrisolveReordered is the doacross with doconsider-reordered iterations.
-	TrisolveReordered
-	// TrisolveWavefront is the pre-scheduled wavefront executor with its
-	// schedule cache.
-	TrisolveWavefront
-	// TrisolveAuto lets the inspection pick the executor.
-	TrisolveAuto
-	// TrisolveWavefrontDynamic is the wavefront executor with dynamic
-	// within-level self-scheduling.
-	TrisolveWavefrontDynamic
-)
-
-// String returns the variant's short name as used in result rows.
-func (v TrisolveVariant) String() string {
-	switch v {
-	case TrisolvePlain:
-		return "doacross"
-	case TrisolveReordered:
-		return "reordered"
-	case TrisolveWavefront:
-		return "wavefront"
-	case TrisolveAuto:
-		return "auto"
-	case TrisolveWavefrontDynamic:
-		return "wavefront-dynamic"
-	default:
-		return "unknown"
-	}
-}
-
-// TrisolveVariants lists every live triangular-solve configuration, in
-// reporting order.
-var TrisolveVariants = []TrisolveVariant{TrisolvePlain, TrisolveReordered, TrisolveWavefront, TrisolveWavefrontDynamic, TrisolveAuto}
-
-// RunLiveTrisolve measures one live triangular-solve variant on one of the
-// paper's test problems.
-func RunLiveTrisolve(prob stencil.Problem, workers, repeat int, variant TrisolveVariant) (LiveResult, error) {
-	l, _, err := stencil.LowerFactor(prob, 1)
-	if err != nil {
-		return LiveResult{}, err
-	}
-	rhs := stencil.RHS(l.N, 7)
-
-	var seqOut []float64
-	seqSample := trace.Measure(repeat, func() {
-		seqOut = doacross.SolveSequential(l, rhs)
-	})
-
-	// One reusable solver serves every repetition: the worker pool, scratch
-	// arrays, any doconsider plan and the wavefront schedule cache are built
-	// once, which is how an iterative driver would use the doacross.
-	opts := liveSolverOptions(workers, 32)
-	var solver *doacross.Solver
-	var err2 error
-	switch variant {
-	case TrisolveReordered:
-		solver, err2 = doacross.NewReorderedSolver(l, doacross.ReorderLevel, opts...)
-	case TrisolveWavefront:
-		solver, err2 = doacross.NewSolver(l, append(opts, doacross.WithExecutor(doacross.Wavefront))...)
-	case TrisolveWavefrontDynamic:
-		solver, err2 = doacross.NewSolver(l, append(opts, doacross.WithExecutor(doacross.WavefrontDynamic))...)
-	case TrisolveAuto:
-		solver, err2 = doacross.NewSolver(l, append(opts, doacross.WithExecutor(doacross.Auto))...)
-	default:
-		solver, err2 = doacross.NewSolver(l, opts...)
-	}
-	if err2 != nil {
-		return LiveResult{}, err2
-	}
-	defer solver.Close()
-	parOut := make([]float64, l.N)
-	var runErr error
-	var lastRep doacross.Report
-	parSample := trace.Measure(repeat, func() {
-		rep, _, e := solverSolve(solver, rhs, parOut)
-		if e != nil {
-			runErr = e
-		}
-		lastRep = rep
-	})
-	if runErr != nil {
-		return LiveResult{}, runErr
-	}
-
-	res := LiveResult{
-		Name:      fmt.Sprintf("trisolve %v %v", prob, variant),
-		Workers:   workers,
-		TSeq:      seqSample.Min(),
-		TPar:      parSample.Min(),
-		Executor:  lastRep.Executor,
-		WaitPolls: lastRep.WaitPolls,
-	}
-	res.Speedup = trace.Speedup(res.TSeq, res.TPar)
-	res.Efficiency = trace.Efficiency(res.TSeq, res.TPar, workers)
-	res.Checks = checkClose(seqOut, parOut)
-	return res, nil
-}
-
 // solverSolve adapts Solver.Solve to return the report first, keeping the
-// measurement closure above readable.
+// measurement closures readable.
 func solverSolve(s *doacross.Solver, rhs, y []float64) (doacross.Report, []float64, error) {
 	out, rep, err := s.Solve(rhs, y)
 	return rep, out, err
@@ -329,18 +217,8 @@ func checkClose(a, b []float64) string {
 	if len(a) != len(b) {
 		return "LENGTH MISMATCH"
 	}
-	maxd := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxd {
-			maxd = d
-		}
-	}
-	if maxd > 1e-9 {
-		return fmt.Sprintf("RESULT MISMATCH (max diff %.2e)", maxd)
+	if d := sparse.VecMaxDiff(a, b); d > 1e-9 {
+		return fmt.Sprintf("RESULT MISMATCH (max diff %.2e)", d)
 	}
 	return "results match"
 }

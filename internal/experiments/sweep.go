@@ -101,17 +101,6 @@ func RunProcessorSweepTrisolve(prob stencil.Problem, procs []int, seed int64) (S
 // experiment and benchmarks.
 var DefaultSweepProcessors = []int{1, 2, 4, 8, 16, 32, 64}
 
-// Format renders the sweep.
-func (r SweepResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation F (extension): processor-count sweep for %s\n", r.Workload)
-	fmt.Fprintf(&b, "%6s %12s %10s %14s\n", "P", "eff", "speedup", "reordered eff")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%6d %12.3f %10.2f %14.3f\n", p.Processors, p.Efficiency, p.Speedup, p.ReorderedEff)
-	}
-	return b.String()
-}
-
 // CheckShape verifies the sweep's sanity properties: speedup never decreases
 // with more processors, efficiency never increases (beyond a small tolerance
 // for static-schedule alignment effects), and the reordered solve is never

@@ -43,9 +43,9 @@ func TestProcessorSweepTrisolve(t *testing.T) {
 			t.Errorf("P=16: reordering should improve the 5-PT solve (%.3f vs %.3f)", p.ReorderedEff, p.Efficiency)
 		}
 	}
-	out := res.Format()
-	if !strings.Contains(out, "Ablation F") || !strings.Contains(out, "trisolve 5-PT") {
-		t.Errorf("Format() missing expected content:\n%s", out)
+	out := res.AsTable().Text()
+	if !strings.Contains(out, "Processor-count sweep") || !strings.Contains(out, "trisolve 5-PT") {
+		t.Errorf("text table missing expected content:\n%s", out)
 	}
 }
 

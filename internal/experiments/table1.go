@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"doacross"
 	"doacross/internal/depgraph"
@@ -201,25 +200,8 @@ func autoPick(l *doacross.Loop, procs int, costs doacross.AutoCosts) (string, er
 	if err != nil {
 		return "", err
 	}
-	pick, _, _, _ := costs.Choose(st, procs, 1)
+	pick, _ := costs.Choose(st, procs, 1)
 	return tune.ExecutorName(pick), nil
-}
-
-// Format renders the rows in the layout of the paper's Table 1, with the
-// efficiency columns and the doacross-vs-wavefront executor comparison
-// appended.
-func (r Table1Result) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 1: preprocessed doacross times for sparse triangular matrices (P=%d, simulated ms)\n", r.Config.Processors)
-	fmt.Fprintf(&b, "%-8s %9s %8s %8s %12s %12s %12s %12s %12s %9s %9s %9s %9s %-9s\n",
-		"Problem", "Equations", "NNZ", "Levels", "Doacross", "Rearranged", "Wavefront", "WfDynamic", "Sequential", "Eff", "EffRear", "EffWf", "EffDyn", "Auto")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s %9d %8d %8d %12.0f %12.0f %12.0f %12.0f %12.0f %9.2f %9.2f %9.2f %9.2f %-9s\n",
-			row.Problem, row.Equations, row.NNZ, row.Levels,
-			row.DoacrossMs, row.ReorderedMs, row.WavefrontMs, row.DynamicMs, row.SequentialMs,
-			row.DoacrossEff, row.ReorderedEff, row.WavefrontEff, row.DynamicEff, row.AutoPick)
-	}
-	return b.String()
 }
 
 // CheckShape verifies the qualitative claims of Table 1 and the surrounding

@@ -96,10 +96,10 @@ func TestTable1Format(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Format()
+	out := res.AsTable().Text()
 	for _, want := range []string{"Table 1", "SPE2", "5-PT", "9-PT", "Rearranged", "Sequential"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Format() missing %q", want)
+			t.Errorf("text table missing %q", want)
 		}
 	}
 }

@@ -243,8 +243,8 @@ func runTuningWorkload(w tuningWorkload) (TuningRow, error) {
 			rt.Close()
 		}
 	}()
-	for _, kind := range []doacross.ExecutorKind{doacross.Doacross, doacross.Wavefront, doacross.WavefrontDynamic} {
-		rt, err := doacross.New(w.dataLen, doacross.WithWorkers(w.workers), doacross.WithExecutor(kind))
+	for e := range tune.NumExecutors {
+		rt, err := doacross.New(w.dataLen, doacross.WithWorkers(w.workers), doacross.WithExecutor(doacross.ExecutorKind(e)))
 		if err != nil {
 			return row, err
 		}
@@ -298,7 +298,7 @@ func runTuningWorkload(w tuningWorkload) (TuningRow, error) {
 	}
 	p := snap.Plans[0]
 	row.Explorations = int(p.Explorations)
-	row.Arms = [tune.NumExecutors]doacross.TuningArm{p.Doacross, p.Wavefront, p.WavefrontDynamic}
+	row.Arms = p.Arms
 	row.Stats, err = rt.Inspect(w.loop)
 	return row, err
 }

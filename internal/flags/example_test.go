@@ -8,7 +8,7 @@ import (
 
 // ExampleIterTable shows the execution-time dependency check of the paper's
 // Figure 5: the inspector records which iteration writes each element, and
-// the executor classifies every read against it.
+// the executor compares every read's writer with the reading iteration.
 func ExampleIterTable() {
 	iter := flags.NewIterTable(8)
 	// Inspector: iteration 3 writes element 6, iteration 5 writes element 2.
@@ -16,7 +16,13 @@ func ExampleIterTable() {
 	iter.Record(2, 5)
 
 	classify := func(elem, reader int) {
-		dep, writer := iter.Classify(elem, reader)
+		writer := iter.Writer(elem)
+		dep := "anti/none"
+		if writer < int64(reader) {
+			dep = "true"
+		} else if writer == int64(reader) {
+			dep = "self"
+		}
 		if writer == flags.MaxInt {
 			fmt.Printf("iteration %d reading element %d: %v (never written)\n", reader, elem, dep)
 			return

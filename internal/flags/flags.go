@@ -1,7 +1,8 @@
 // Package flags provides the fine-grained synchronization substrate used by
 // the preprocessed doacross runtime: per-element "ready" flags that iterations
 // busy-wait on, and the "iter" table the inspector fills so that executors can
-// distinguish true dependencies from anti-dependencies at run time.
+// distinguish true dependencies from anti-dependencies at run time (by
+// comparing IterTable.Writer with the reading iteration).
 //
 // The package mirrors the arrays called ready and iter in Saltz &
 // Mirchandaney, "The Preprocessed Doacross Loop" (ICASE Interim Report 11,
@@ -10,8 +11,8 @@
 // in the postprocessing phase, every entry the loop wrote (IterTable.Reset,
 // ReadyFlags.Clear). The epoch protocol, an ablation of the paper's design,
 // calls Advance once instead, which invalidates every entry in O(1). The two
-// protocols share one storage format and one wait loop, so they classify and
-// wait identically.
+// protocols share one storage format and one wait loop, so a lookup reads
+// the same writer and a wait behaves the same under either.
 package flags
 
 import (
@@ -271,51 +272,4 @@ func (t *IterTable) Advance() {
 	}
 	t.ResetAll()
 	t.base.Store(1)
-}
-
-// Dependence classifies the relation between a read of element e performed by
-// iteration i and the iteration that writes e, following Section 2.2 of the
-// paper.
-type Dependence int
-
-const (
-	// TrueDep means the element is written by an earlier iteration: the
-	// reader must wait for it and then use the newly computed value.
-	TrueDep Dependence = iota
-	// SelfDep means the element is written by the same iteration: the reader
-	// uses the newly computed value without waiting.
-	SelfDep
-	// AntiOrNone means the element is written by a later iteration (an
-	// anti-dependence, satisfied by renaming) or not written at all: the
-	// reader uses the old value without waiting.
-	AntiOrNone
-)
-
-// String returns a short name for the dependence class.
-func (d Dependence) String() string {
-	switch d {
-	case TrueDep:
-		return "true"
-	case SelfDep:
-		return "self"
-	case AntiOrNone:
-		return "anti/none"
-	default:
-		return "unknown"
-	}
-}
-
-// Classify applies the paper's check = iter(offset) - i test: it returns the
-// dependence class of a read of element e by iteration i, together with the
-// writing iteration (meaningful only for TrueDep and SelfDep).
-func (t *IterTable) Classify(e int, i int) (Dependence, int64) {
-	w := t.Writer(e)
-	switch {
-	case w < int64(i):
-		return TrueDep, w
-	case w == int64(i):
-		return SelfDep, w
-	default:
-		return AntiOrNone, w
-	}
 }

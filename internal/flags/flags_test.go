@@ -159,47 +159,52 @@ func TestIterTableRecordAndReset(t *testing.T) {
 	}
 }
 
+// classify is the executor's dependence check on a table lookup: the
+// paper's check = iter(offset) - i sign test applied to Writer.
+func classify(tab *IterTable, e, i int) (string, int64) {
+	w := tab.Writer(e)
+	switch {
+	case w < int64(i):
+		return "true", w
+	case w == int64(i):
+		return "self", w
+	}
+	return "anti/none", w
+}
+
 func TestIterTableClassify(t *testing.T) {
 	tab := NewIterTable(10)
 	tab.Record(0, 3)
 
-	if d, w := tab.Classify(0, 5); d != TrueDep || w != 3 {
-		t.Errorf("Classify(written by 3, read by 5) = %v,%d; want TrueDep,3", d, w)
+	if d, w := classify(tab, 0, 5); d != "true" || w != 3 {
+		t.Errorf("classify(written by 3, read by 5) = %v,%d; want true,3", d, w)
 	}
-	if d, _ := tab.Classify(0, 3); d != SelfDep {
-		t.Errorf("Classify(written by 3, read by 3) = %v; want SelfDep", d)
+	if d, _ := classify(tab, 0, 3); d != "self" {
+		t.Errorf("classify(written by 3, read by 3) = %v; want self", d)
 	}
-	if d, _ := tab.Classify(0, 2); d != AntiOrNone {
-		t.Errorf("Classify(written by 3, read by 2) = %v; want AntiOrNone", d)
+	if d, _ := classify(tab, 0, 2); d != "anti/none" {
+		t.Errorf("classify(written by 3, read by 2) = %v; want anti/none", d)
 	}
-	if d, _ := tab.Classify(7, 2); d != AntiOrNone {
-		t.Errorf("Classify(never written) = %v; want AntiOrNone", d)
-	}
-}
-
-func TestDependenceString(t *testing.T) {
-	if TrueDep.String() != "true" || SelfDep.String() != "self" || AntiOrNone.String() != "anti/none" {
-		t.Error("Dependence.String mismatch")
-	}
-	if Dependence(42).String() != "unknown" {
-		t.Error("unexpected string for invalid Dependence")
+	if d, _ := classify(tab, 7, 2); d != "anti/none" {
+		t.Errorf("classify(never written) = %v; want anti/none", d)
 	}
 }
 
 func TestClassifyPropertyMatchesDirectComparison(t *testing.T) {
-	// Property: for any writer w and reader i, Classify agrees with the
-	// paper's check = iter(offset) - i sign test.
+	// Property: for any writer w and reader i, the check on Writer agrees
+	// with the paper's check = iter(offset) - i sign test on the recorded
+	// iteration.
 	f := func(writer uint16, reader uint16) bool {
 		tab := NewIterTable(1)
 		tab.Record(0, int(writer))
-		d, _ := tab.Classify(0, int(reader))
+		d, _ := classify(tab, 0, int(reader))
 		switch {
 		case int(writer) < int(reader):
-			return d == TrueDep
+			return d == "true"
 		case int(writer) == int(reader):
-			return d == SelfDep
+			return d == "self"
 		default:
-			return d == AntiOrNone
+			return d == "anti/none"
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -308,14 +313,14 @@ func TestEpochIterTableBasic(t *testing.T) {
 		t.Fatalf("Writer(4) = %d, want %d", w, int64(epochStride-1))
 	}
 	tab.Record(5, 41)
-	if d, w := tab.Classify(5, 100); d != TrueDep || w != 41 {
-		t.Fatalf("Classify = %v,%d; want TrueDep,41", d, w)
+	if d, w := classify(tab, 5, 100); d != "true" || w != 41 {
+		t.Fatalf("classify = %v,%d; want true,41", d, w)
 	}
-	if d, _ := tab.Classify(5, 41); d != SelfDep {
-		t.Fatal("Classify same iteration should be SelfDep")
+	if d, _ := classify(tab, 5, 41); d != "self" {
+		t.Fatal("classify same iteration should be self")
 	}
-	if d, _ := tab.Classify(5, 7); d != AntiOrNone {
-		t.Fatal("Classify earlier reader should be AntiOrNone")
+	if d, _ := classify(tab, 5, 7); d != "anti/none" {
+		t.Fatal("classify earlier reader should be anti/none")
 	}
 }
 
@@ -417,8 +422,8 @@ func TestEpochAndPlainIterTablesAgree(t *testing.T) {
 				epoch.Record(e, int(w))
 			}
 			for e := 0; e < n; e++ {
-				d1, w1 := plain.Classify(e, int(reader))
-				d2, w2 := epoch.Classify(e, int(reader))
+				d1, w1 := classify(plain, e, int(reader))
+				d2, w2 := classify(epoch, e, int(reader))
 				if d1 != d2 || w1 != w2 {
 					return false
 				}
@@ -437,8 +442,8 @@ func TestEpochAndPlainIterTablesAgree(t *testing.T) {
 	}
 }
 
-// FuzzResetProtocols checks IterTable.Writer and Classify and
-// ReadyFlags.IsDone against a naive map model over decoded operation
+// FuzzResetProtocols checks IterTable.Writer, the dependence check on it,
+// and ReadyFlags.IsDone against a naive map model over decoded operation
 // sequences. The sequences mix the paper's per-element resets (Reset, Clear)
 // with the epoch protocol's Advance, and a jump of both epochs to just before
 // their wrap, so either protocol, and any mix of the two, must read exactly
@@ -491,14 +496,14 @@ func FuzzResetProtocols(f *testing.F) {
 				if got := tab.Writer(e); got != want {
 					t.Fatalf("Writer(%d) = %d, model %d", e, got, want)
 				}
-				wantDep := AntiOrNone
+				wantDep := "anti/none"
 				if want < int64(i) {
-					wantDep = TrueDep
+					wantDep = "true"
 				} else if want == int64(i) {
-					wantDep = SelfDep
+					wantDep = "self"
 				}
-				if d, w := tab.Classify(e, i); d != wantDep || w != want {
-					t.Fatalf("Classify(%d, %d) = %v,%d, model %v,%d", e, i, d, w, wantDep, want)
+				if d, w := classify(tab, e, i); d != wantDep || w != want {
+					t.Fatalf("classify(%d, %d) = %v,%d, model %v,%d", e, i, d, w, wantDep, want)
 				}
 				if got := ready.IsDone(e); got != done[e] {
 					t.Fatalf("IsDone(%d) = %v, model %v", e, got, done[e])

@@ -67,8 +67,7 @@ func SimulateTuning(truth TuningTruth, st tune.Stats, workers, nrhs, runs int, o
 	}
 	for r := 0; r < runs; r++ {
 		pick, explored := ps.Decide(st, workers, nrhs, o, rng)
-		tDa, tWf, tDyn := ps.Coeffs.PredictN(st, workers, nrhs)
-		pred := [tune.NumExecutors]float64{tDa, tWf, tDyn}[pick]
+		pred := ps.Coeffs.PredictN(st, workers, nrhs)[pick]
 		obs := truth[pick]
 		ps.Observe(pick, st, workers, nrhs, obs)
 		traj.Steps = append(traj.Steps, TuningStep{

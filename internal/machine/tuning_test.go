@@ -94,8 +94,8 @@ func TestSimulateTuningConvergesFromWrongSeed(t *testing.T) {
 	start := tune.Coeffs{BarrierNs: 0.01, FlagCheckNs: 5000, ClaimNs: 1e6, IterNs: 100}
 	truth := TuningTruth{50_000, 2_000_000, 2_100_000}
 	const runs = 32
-	if tDa, tWf, _ := tune.Sanitize(start).PredictN(st, 4, 1); tWf >= tDa {
-		t.Fatalf("seed coefficients do not mislead the model: doacross %v <= wavefront %v", tDa, tWf)
+	if p := tune.Sanitize(start).PredictN(st, 4, 1); p[tune.Wavefront] >= p[tune.Doacross] {
+		t.Fatalf("seed coefficients do not mislead the model: doacross %v <= wavefront %v", p[tune.Doacross], p[tune.Wavefront])
 	}
 	traj := SimulateTuning(truth, st, 4, 1, runs, tune.Options{InitialCosts: start, Seed: 3})
 	if best := tune.Best(truth); best != tune.Doacross {
@@ -131,8 +131,7 @@ func TestSimulateTuningPropertyRandomDAGs(t *testing.T) {
 
 		trueIter := 100 + 4900*rng.Float64()
 		trueCoeffs := tune.Coeffs{BarrierNs: 200, FlagCheckNs: 20, ClaimNs: 15, IterNs: trueIter}
-		tDa, tWf, tDyn := trueCoeffs.PredictN(st, workers, nrhs)
-		truth := TuningTruth{tDa, tWf, tDyn}
+		truth := TuningTruth(trueCoeffs.PredictN(st, workers, nrhs))
 
 		// The seed knows the overheads but not the body weight — the common
 		// deployment, where the probe measured synchronization primitives but

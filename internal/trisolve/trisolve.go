@@ -410,8 +410,9 @@ func SolveLinear(t *sparse.Triangular, rhs []float64, opts core.Options) ([]floa
 	return y, rep, nil
 }
 
-// SolverKind identifies one of the triangular-solve executors, used by the
-// experiment harness and the CLI.
+// SolverKind identifies one of the triangular-solve methods, used by the
+// experiment harness and the CLI. The doacross kinds run under whatever
+// executor their options select (core.Options.Executor).
 type SolverKind int
 
 const (
@@ -419,19 +420,9 @@ const (
 	Doacross
 	DoacrossReordered
 	LinearSubscript
-	// DoacrossWavefront runs the preprocessed runtime with its wavefront
-	// executor: the inspected dependency graph executed level by level with
-	// the decomposition and static schedule cached across solves.
-	DoacrossWavefront
-	// DoacrossWavefrontDynamic runs the preprocessed runtime with its
-	// dynamic wavefront executor: the same cached decomposition as
-	// DoacrossWavefront, but each level is self-scheduled, so rows of very
-	// different occupancy inside one wavefront (the heavy-tailed factors)
-	// no longer serialize the level behind one statically unlucky worker.
-	DoacrossWavefrontDynamic
 )
 
-// String returns the executor's name as used in reports.
+// String returns the method's name as used in reports.
 func (k SolverKind) String() string {
 	switch k {
 	case Sequential:
@@ -442,16 +433,12 @@ func (k SolverKind) String() string {
 		return "doacross-reordered"
 	case LinearSubscript:
 		return "doacross-linear"
-	case DoacrossWavefront:
-		return "doacross-wavefront"
-	case DoacrossWavefrontDynamic:
-		return "doacross-wavefront-dynamic"
 	default:
 		return "unknown"
 	}
 }
 
-// Solve solves T*y = rhs once with the executor identified by kind, on a
+// Solve solves T*y = rhs once with the method identified by kind, on a
 // lower or an upper triangular matrix alike. Every doacross kind builds a
 // Solver (a reordered one, with the level strategy, for DoacrossReordered),
 // solves once and closes it; LinearSubscript runs SolveLinear, and
@@ -470,12 +457,6 @@ func Solve(kind SolverKind, t *sparse.Triangular, rhs []float64, opts core.Optio
 		s, err = NewSolver(t, opts)
 	case DoacrossReordered:
 		s, err = NewReorderedSolver(t, doconsider.Level, opts)
-	case DoacrossWavefront:
-		opts.Executor = core.ExecWavefront
-		s, err = NewSolver(t, opts)
-	case DoacrossWavefrontDynamic:
-		opts.Executor = core.ExecWavefrontDynamic
-		s, err = NewSolver(t, opts)
 	default:
 		return nil, core.Report{}, fmt.Errorf("trisolve: unknown solver kind %d", int(kind))
 	}

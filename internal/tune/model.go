@@ -197,16 +197,11 @@ func modelTerms(st Stats, workers int) (t terms, ok bool) {
 	return t, true
 }
 
-// Predict is PredictN for a scalar traversal: Predict(st, p) ==
-// PredictN(st, p, 1).
-func (c Coeffs) Predict(st Stats, workers int) (tDoacross, tWavefront, tDynamic float64) {
-	return c.PredictN(st, workers, 1)
-}
-
 // PredictN estimates the executor-phase time of all three strategies for a
 // loop with the given inspection statistics on the given worker count,
-// carrying nrhs right-hand-side columns, in the coefficients' time unit. It
-// is the Auto cost model: the live selection (Choose), the online tuner's
+// carrying nrhs right-hand-side columns, in the coefficients' time unit,
+// indexed by arm (Doacross, Wavefront, WavefrontDynamic). It is the Auto
+// cost model: the live selection (Choose), the online tuner's
 // back-solver and the simulator's replay all evaluate exactly this formula.
 // The model (writing N, E, W, L for iterations, edges, stall weight, levels,
 // and P for workers, with r = E/N the mean true-dependency reads per
@@ -257,37 +252,37 @@ func (c Coeffs) Predict(st Stats, workers int) (tDoacross, tWavefront, tDynamic 
 // the BarrierNs/FlagCheckNs ratio crosses
 //
 //	(rounds_da*(r+3) - rounds_wf*r) / L
-func (c Coeffs) PredictN(st Stats, workers, nrhs int) (tDoacross, tWavefront, tDynamic float64) {
+func (c Coeffs) PredictN(st Stats, workers, nrhs int) (times [NumExecutors]float64) {
 	t, ok := modelTerms(st, workers)
 	if !ok {
-		return 0, 0, 0
+		return times
 	}
 	if nrhs < 1 {
 		nrhs = 1
 	}
 	workNs := float64(nrhs) * c.IterNs
 	perIter := workNs + t.r*c.FlagCheckNs
-	tDoacross = t.daRounds * (workNs + (t.r+3)*c.FlagCheckNs)
 	wfBase := t.wfRounds*perIter + t.levels*c.BarrierNs
 	readTermNs := c.FlagCheckNs + workNs/(t.r+1)
-	tWavefront = wfBase + t.imb*readTermNs
-	tDynamic = wfBase + t.claims*c.ClaimNs
-	return tDoacross, tWavefront, tDynamic
+	times[Doacross] = t.daRounds * (workNs + (t.r+3)*c.FlagCheckNs)
+	times[Wavefront] = wfBase + t.imb*readTermNs
+	times[WavefrontDynamic] = wfBase + t.claims*c.ClaimNs
+	return times
 }
 
 // Choose is the Auto selection: the arm an untuned Auto runtime with these
 // coefficients runs for a loop with the given statistics, worker count and
-// right-hand-side block width, returned with the three PredictN estimates
-// behind it. A single barrier-free level (a doall, or an empty loop) always
+// right-hand-side block width, returned with the PredictN estimates behind
+// it. A single barrier-free level (a doall, or an empty loop) always
 // pre-schedules statically — a dynamic run of one level would only add claim
 // traffic; otherwise the cheapest estimate wins (Best).
-func (c Coeffs) Choose(st Stats, workers, nrhs int) (pick int, tDoacross, tWavefront, tDynamic float64) {
-	tDoacross, tWavefront, tDynamic = c.PredictN(st, workers, nrhs)
+func (c Coeffs) Choose(st Stats, workers, nrhs int) (pick int, times [NumExecutors]float64) {
+	times = c.PredictN(st, workers, nrhs)
 	pick = Wavefront
 	if st.Levels > 1 {
-		pick = Best([NumExecutors]float64{tDoacross, tWavefront, tDynamic})
+		pick = Best(times)
 	}
-	return pick, tDoacross, tWavefront, tDynamic
+	return pick, times
 }
 
 // Best returns the arm with the lowest time, ties going to the lower arm

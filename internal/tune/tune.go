@@ -26,9 +26,11 @@ package tune
 
 import "math"
 
-// Executor indices of the bandit's three arms. They are the tuner's own
-// compact indexing (the runtime's ExecutorKind interleaves Auto); core maps
-// between the two.
+// Executor indices of the bandit's three arms: the one enumeration of the
+// executors. The cost model's estimates, the tuner's per-arm state, the
+// runtime's ExecutorKind (whose fixed executors equal these indices, with
+// Auto after them) and the harness's per-executor results are all indexed
+// by it.
 const (
 	// Doacross is the flag-based busy-wait doacross.
 	Doacross = iota
@@ -187,8 +189,7 @@ func NewPlanState(base Coeffs) PlanState {
 // exploration like a negative Epsilon.
 func (s *PlanState) Decide(st Stats, workers, nrhs int, o Options, rng *RNG) (pick int, explored bool) {
 	o = o.WithDefaults()
-	tda, twf, tdyn := s.Coeffs.PredictN(st, workers, nrhs)
-	score := [NumExecutors]float64{tda, twf, tdyn}
+	score := s.Coeffs.PredictN(st, workers, nrhs)
 	for e := 0; e < NumExecutors; e++ {
 		if s.Obs[e] > 0 {
 			score[e] = s.ObsNs[e]

@@ -111,8 +111,7 @@ func TestCalibrateRecoversInjectedIterNs(t *testing.T) {
 	truthC := base
 	truthC.IterNs = trueIter
 	for _, st := range []Stats{chainStats(512, 4), wideStats(2048, 16, 4)} {
-		tda, twf, tdyn := truthC.PredictN(st, 4, 1)
-		truth := [NumExecutors]float64{tda, twf, tdyn}
+		truth := truthC.PredictN(st, 4, 1)
 		for arm := 0; arm < NumExecutors; arm++ {
 			s := NewPlanState(base)
 			for k := 0; k < 40; k++ {
@@ -134,8 +133,7 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	// Grossly overpriced flag checks: the doacross observation is far below
 	// the overhead-only prediction.
 	s := NewPlanState(Coeffs{BarrierNs: 10, FlagCheckNs: 5000, ClaimNs: 30})
-	tda, _, _ := s.Coeffs.PredictN(st, 4, 1)
-	obs := tda / 100
+	obs := s.Coeffs.PredictN(st, 4, 1)[Doacross] / 100
 	for k := 0; k < 30; k++ {
 		s.Observe(Doacross, st, 4, 1, obs)
 	}
@@ -145,7 +143,7 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	if s.Coeffs.IterNs != 0 {
 		t.Fatalf("IterNs not held at zero in the overhead regime: %g", s.Coeffs.IterNs)
 	}
-	got, _, _ := s.Coeffs.PredictN(st, 4, 1)
+	got := s.Coeffs.PredictN(st, 4, 1)[Doacross]
 	if math.Abs(got-obs) > 0.05*obs {
 		t.Fatalf("tuned doacross prediction %.1f, want within 5%% of %.1f", got, obs)
 	}
@@ -153,8 +151,7 @@ func TestCalibrateCorrectsOverpricedOverheads(t *testing.T) {
 	// Grossly overpriced barriers: the wavefront observation corrects
 	// BarrierNs.
 	s = NewPlanState(Coeffs{BarrierNs: 1e6, FlagCheckNs: 5, ClaimNs: 30})
-	_, twf, _ := s.Coeffs.PredictN(st, 4, 1)
-	obs = twf / 1000
+	obs = s.Coeffs.PredictN(st, 4, 1)[Wavefront] / 1000
 	for k := 0; k < 40; k++ {
 		s.Observe(Wavefront, st, 4, 1, obs)
 	}
@@ -176,8 +173,7 @@ func TestDecideGreedyPrefersMeasuredOverModel(t *testing.T) {
 	}
 	// Reality: the wavefront measures far slower than the doacross's model
 	// estimate once observed.
-	tda, _, _ := s.Coeffs.PredictN(st, 4, 1)
-	s.Observe(Wavefront, st, 4, 1, 10*tda)
+	s.Observe(Wavefront, st, 4, 1, 10*s.Coeffs.PredictN(st, 4, 1)[Doacross])
 	pick, _ = s.Decide(st, 4, 1, Options{Epsilon: -1}, nil)
 	if pick != Doacross {
 		t.Fatalf("post-observation pick = %s, want doacross", ExecutorName(pick))

@@ -22,31 +22,23 @@ type ILUPreconditioner = sparse.ILUPreconditioner
 // its worker pool.
 type Solver = trisolve.Solver
 
-// SolverKind identifies one of the triangular-solve executors compared in
-// the paper's Table 1.
+// SolverKind identifies one of the triangular-solve methods compared in the
+// paper's Table 1.
 type SolverKind = trisolve.SolverKind
 
-// Triangular-solve executors.
+// Triangular-solve methods.
 const (
 	// SolverSequential is the ordinary sequential substitution.
 	SolverSequential SolverKind = trisolve.Sequential
-	// SolverDoacross is the plain preprocessed doacross.
+	// SolverDoacross is the preprocessed runtime in natural order, under
+	// the executor WithExecutor selects: the plain doacross by default,
+	// Wavefront or WavefrontDynamic for the pre-scheduled level-set
+	// executions, or Auto.
 	SolverDoacross SolverKind = trisolve.Doacross
 	// SolverReordered is the doacross with doconsider-reordered iterations.
 	SolverReordered SolverKind = trisolve.DoacrossReordered
 	// SolverLinear is the linear-subscript doacross (no inspector).
 	SolverLinear SolverKind = trisolve.LinearSubscript
-	// SolverWavefront is the preprocessed runtime with its wavefront
-	// executor: pre-scheduled level-set execution with the decomposition and
-	// static schedule cached across solves. Equivalent to SolverDoacross
-	// with WithExecutor(Wavefront).
-	SolverWavefront SolverKind = trisolve.DoacrossWavefront
-	// SolverWavefrontDynamic is the preprocessed runtime with its dynamic
-	// wavefront executor: the same cached level decomposition, with each
-	// level self-scheduled so heavy rows inside a wavefront no longer stall
-	// the level barrier behind one statically unlucky worker. Equivalent to
-	// SolverDoacross with WithExecutor(WavefrontDynamic).
-	SolverWavefrontDynamic SolverKind = trisolve.DoacrossWavefrontDynamic
 )
 
 // ReorderStrategy selects how the doconsider transformation derives a new
@@ -110,9 +102,10 @@ func NewReorderedSolver(t *Triangular, strategy ReorderStrategy, opts ...Option)
 	return trisolve.NewReorderedSolver(t, strategy, o)
 }
 
-// SolveTriangular solves T*y = rhs once with the executor identified by
-// kind, on a lower or an upper triangular matrix alike: every doacross kind
-// builds a Solver, solves once and closes it. For repeated solves on the same
+// SolveTriangular solves T*y = rhs once with the method identified by kind,
+// on a lower or an upper triangular matrix alike: every doacross kind builds
+// a Solver with the given options (WithExecutor included), solves once and
+// closes it. For repeated solves on the same
 // matrix build a Solver instead, which reuses the runtime across calls.
 func SolveTriangular(kind SolverKind, t *Triangular, rhs []float64, opts ...Option) ([]float64, Report, error) {
 	o, err := buildOptions(opts)

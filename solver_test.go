@@ -33,12 +33,12 @@ func randomTriangular(t *testing.T, rng *rand.Rand, n, rowNNZ int, lower bool) *
 	return sparse.UpperTriangle(a)
 }
 
-// TestSolveTriangularEveryKindBothOrientations runs every SolverKind through
-// SolveTriangular on lower and upper factors, random and SPE2 ILU(0). Every
-// kind runs the same row arithmetic in the same order, only scheduled
-// differently, so each result must equal the sequential substitution bit for
-// bit. SolveRenumbered renumbers forward substitutions only and must reject
-// the upper factors.
+// TestSolveTriangularEveryKindBothOrientations runs every SolverKind, and
+// SolverDoacross under every ExecutorKind, through SolveTriangular on lower
+// and upper factors, random and SPE2 ILU(0). Every solve runs the same row
+// arithmetic in the same order, only scheduled differently, so each result
+// must equal the sequential substitution bit for bit. SolveRenumbered
+// renumbers forward substitutions only and must reject the upper factors.
 func TestSolveTriangularEveryKindBothOrientations(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	spe2L, spe2U, err := stencil.LowerFactor(stencil.SPE2, 1)
@@ -57,21 +57,27 @@ func TestSolveTriangularEveryKindBothOrientations(t *testing.T) {
 	for _, f := range factors {
 		rhs := stencil.RHS(f.tri.N, 17)
 		want := doacross.SolveSequential(f.tri, rhs)
-		kinds := 0
-		for kind := doacross.SolverSequential; kind.String() != "unknown"; kind++ {
-			kinds++
-			got, _, err := doacross.SolveTriangular(kind, f.tri, rhs, solverOptions(4)...)
+		solve := func(name string, kind doacross.SolverKind, exec doacross.ExecutorKind) {
+			got, _, err := doacross.SolveTriangular(kind, f.tri, rhs, append(solverOptions(4), doacross.WithExecutor(exec))...)
 			if err != nil {
-				t.Fatalf("%s, %v: %v", f.name, kind, err)
+				t.Fatalf("%s, %s: %v", f.name, name, err)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s, %v: y[%d] = %v, sequential %v", f.name, kind, i, got[i], want[i])
+					t.Fatalf("%s, %s: y[%d] = %v, sequential %v", f.name, name, i, got[i], want[i])
 				}
 			}
 		}
-		if kinds != 6 {
-			t.Errorf("%d solver kinds, want 6", kinds)
+		kinds := 0
+		for kind := doacross.SolverSequential; kind.String() != "unknown"; kind++ {
+			kinds++
+			solve(kind.String(), kind, doacross.Doacross)
+		}
+		if kinds != 4 {
+			t.Errorf("%d solver kinds, want 4", kinds)
+		}
+		for exec := doacross.Doacross; exec <= doacross.Auto; exec++ {
+			solve("doacross under "+exec.String(), doacross.SolverDoacross, exec)
 		}
 		_, _, err := doacross.SolveRenumbered(f.tri, rhs, doacross.ReorderLevel, solverOptions(4)...)
 		if f.tri.Lower && err != nil {

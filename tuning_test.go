@@ -107,7 +107,7 @@ func TestOnlineTuningConvergesOnChain(t *testing.T) {
 		if len(snap.Plans) != 1 {
 			t.Fatalf("misled toward %s: tuner tracks %d plans, want 1", misled, len(snap.Plans))
 		}
-		if p := snap.Plans[0]; p.Doacross.Observations == 0 || p.Wavefront.Observations == 0 {
+		if p := snap.Plans[0]; p.Arms[doacross.Doacross].Observations == 0 || p.Arms[doacross.Wavefront].Observations == 0 {
 			t.Errorf("misled toward %s: both contested arms should have been measured: %+v", misled, p)
 		}
 	}
@@ -181,10 +181,9 @@ func TestOnlineTuningRestampsPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDa, wantWf, wantDyn := rep.TunedCosts.PredictN(st, 2, 1)
-	if rep.PredictedDoacrossNs != wantDa || rep.PredictedWavefrontNs != wantWf || rep.PredictedDynamicNs != wantDyn {
-		t.Errorf("report predictions were not re-stamped from the post-run coefficients:\ngot  (%v, %v, %v)\nwant (%v, %v, %v)",
-			rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs, wantDa, wantWf, wantDyn)
+	want := rep.TunedCosts.PredictN(st, 2, 1)
+	if got := [...]float64{rep.PredictedDoacrossNs, rep.PredictedWavefrontNs, rep.PredictedDynamicNs}; got != want {
+		t.Errorf("report predictions were not re-stamped from the post-run coefficients:\ngot  %v\nwant %v", got, want)
 	}
 	// And the pre-run AutoCosts stamp still carries the decision's base.
 	if rep.AutoCosts != seed {
@@ -250,7 +249,11 @@ func TestOnlineTuningConcurrent(t *testing.T) {
 		t.Fatalf("tuner tracks %d plans, want 1", len(snap.Plans))
 	}
 	p := snap.Plans[0]
-	if got := p.Doacross.Observations + p.Wavefront.Observations + p.WavefrontDynamic.Observations; got != total {
+	var got uint64
+	for _, a := range p.Arms {
+		got += a.Observations
+	}
+	if got != total {
 		t.Errorf("per-arm observations sum to %d, want %d", got, total)
 	}
 	ms := c.Snapshot()
